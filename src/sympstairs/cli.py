@@ -54,6 +54,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _rational_range(text: str) -> tuple[Fraction, Fraction]:
     try:
         lo, hi = text.split(":")
@@ -80,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_rational, required=True)
     p.add_argument("--method", choices=["closed", "bisect", "ech", "decide"], default="closed")
     p.add_argument("--tol", type=_rational, default=Fraction(1, 10**4))
-    p.add_argument("--n", type=int, default=10**4)
+    p.add_argument("--n", type=_positive_int, default=10**4, help="ECH terms for --method ech")
     p.add_argument("--lambda", dest="lam", default=None,
                    help="exact value to test with --method decide, e.g. 17/12 or sqrt(2)")
 
@@ -104,14 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--b", type=int, default=2)
     p.add_argument("--max-n", type=int, default=30)
-    p.add_argument("--n", type=int, default=2000)
+    p.add_argument("--n", type=_positive_int, default=2000, help="ECH terms for the ech suite")
     p.add_argument("--trace", action="store_true")
 
     p = sub.add_parser("scan", help="conjecture scan over rational b")
     p.add_argument("--b", required=True, help="comma-separated rationals, e.g. 2,5/2,3")
     p.add_argument("--a", type=_rational_range, required=True, metavar="LO:HI")
     p.add_argument("--n", type=int, default=17)
-    p.add_argument("--ech-n", type=int, default=2000)
+    p.add_argument("--ech-n", type=_positive_int, default=2000)
     p.add_argument("--out")
 
     p = sub.add_parser("classes", help="list the certified class families")

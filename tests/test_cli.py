@@ -69,6 +69,23 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--b", "2", "--a", "8", "--method", "ech", "--n", "0"],
+        ["eval", "--b", "2", "--a", "8", "--method", "ech", "--n", "-4"],
+        ["verify", "ech", "--n", "0"],
+        ["scan", "--b", "2", "--a", "4:6", "--ech-n", "-1"],
+        ["scan", "--b", "2", "--a", "4:6", "--ech-n", "x"],
+    ],
+)
+def test_ech_term_count_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not a positive integer" in capsys.readouterr().err
+
+
 def test_reduce_prints_trace(capsys):
     code, out, _ = run(capsys, "reduce", "(2;1,1,1,1,1)")
     lines = out.splitlines()

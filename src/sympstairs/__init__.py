@@ -24,7 +24,6 @@ from .classes import (
     gen_G,
     intersection_product,
     obstruction_mu,
-    psi_push,
     real_b_obstructions,
 )
 from .cremona import (
@@ -40,6 +39,7 @@ from .cremona import (
     is_terminal_exceptional,
     method2_decide,
     parse_vector,
+    psi_push,
     reduce_to_reduced,
     standard_move,
 )

@@ -19,12 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .cremona import (
-    BlowupVector,
-    ReductionTrace,
-    is_terminal_exceptional,
-    reduce_to_reduced,
-)
+from .cremona import ReductionTrace, is_terminal_exceptional, psi_push, reduce_to_reduced
 from .numbers import Value, sign, sqrt_rational
 from .weights import flat_length, weight_expansion, weight_inner
 
@@ -82,20 +77,6 @@ def check_dio_polydisc(d: int, e: int, m: Sequence[int]) -> bool:
 def check_dio_ball(d: int, m: Sequence[int]) -> bool:
     """Both equations sum(m) = 3d-1 and sum(m^2) = d^2+1, exactly."""
     return sum(m) == 3 * d - 1 and sum(x * x for x in m) == d * d + 1
-
-
-def psi_push(d, e, m: Sequence) -> BlowupVector:
-    """Push (d,e;m) to the homology basis: (d+e-m1; d-m1, e-m1, m2, ...).
-
-    Transports solutions of the polydisc Diophantine system to solutions of
-    the ball one.
-    """
-    m = list(m)
-    if any(sign(x - y) < 0 for x, y in zip(m, m[1:])):
-        raise ValueError("m must be non-increasing")
-    m1 = m[0] if m else 0
-    rest = tuple(m[1:])
-    return BlowupVector(d + e - m1, (d - m1, e - m1) + rest, basis="homology")
 
 
 def certification_trace(c: ExceptionalClass, max_steps: Optional[int] = None) -> ReductionTrace:

@@ -1,16 +1,18 @@
 """Cremona transforms and the reduction algorithm on blow-up vectors.
 
-A blow-up vector is a head value with a finite tail, written (mu; a1,...,an)
-in the ball basis or (d; m1,...,mn) in the homology basis.  Tails are
-logically infinite with zeros: the defect and the Cremona transform pad to
-three entries as needed, and trailing zeros are trimmed only on output.
-Entries may be Fractions or QuadNums of one shared field; transforms never
-divide, so exactness is free.
+A blow-up vector is a head value with a finite tail, (mu; a1,...,an) for an
+embedding problem or (d; m1,...,mn) for a class on the blown-up plane; both
+are the same data.  A class (d,e;m) on the blown-up polydisc enters through
+``psi_push``.  Tails are logically infinite with zeros: the defect and the
+Cremona transform pad to three entries as needed, and trailing zeros are
+trimmed only on output.  Entries may be Fractions or QuadNums of one shared
+field; transforms never divide, so exactness is free.
 
 The reduction loop applies standard Cremona moves (sort descending, apply
-the transform, sort again) until the first reduced vector appears, recording
-every step so that traces can be replayed and serialized.  All values are
-immutable; independent reductions are safe to run concurrently.
+the transform, sort again) until the first reduced vector appears.  Each
+step records its defect and the permutation that re-sorted the tail, so a
+trace can be replayed and serialized from its initial vector.  All values
+are immutable; independent reductions are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "is_terminal_exceptional",
     "method2_decide",
     "parse_vector",
+    "psi_push",
     "reduce_to_reduced",
     "standard_move",
 ]
@@ -47,25 +50,14 @@ def _coerce(x) -> Value:
 
 @dataclass(frozen=True)
 class BlowupVector:
-    """Head plus tail; ``head2`` is set only for polydisc-basis (d,e;m) vectors."""
+    """Head plus tail, (head; t1, ..., tn)."""
 
     head: Value
     tail: tuple[Value, ...]
-    basis: str = "ball"
-    head2: Optional[Value] = None
 
     def __post_init__(self):
         object.__setattr__(self, "head", _coerce(self.head))
-        if self.head2 is not None:
-            object.__setattr__(self, "head2", _coerce(self.head2))
         object.__setattr__(self, "tail", tuple(_coerce(t) for t in self.tail))
-        if (self.basis == "polydisc") != (self.head2 is not None):
-            raise ValueError("polydisc-basis vectors carry exactly two head components")
-
-    def _single_head(self) -> Value:
-        if self.head2 is not None:
-            raise ValueError("polydisc-basis vector: convert via psi_push first")
-        return self.head
 
     def padded_tail(self, n: int = 3) -> tuple[Value, ...]:
         if len(self.tail) >= n:
@@ -73,23 +65,14 @@ class BlowupVector:
         return self.tail + (Fraction(0),) * (n - len(self.tail))
 
     def sorted(self) -> "BlowupVector":
-        self._single_head()
         values, _ = _sort_desc(self.tail)
-        return BlowupVector(self.head, values, self.basis)
+        return BlowupVector(self.head, values)
 
     def trimmed(self) -> "BlowupVector":
         tail = list(self.tail)
         while tail and tail[-1] == 0:
             tail.pop()
-        return BlowupVector(self.head, tuple(tail), self.basis, self.head2)
-
-    def eq_up_to_order(self, other: "BlowupVector") -> bool:
-        """Equal head and equal tail multisets, ignoring trailing zeros."""
-        if sign(self._single_head() - other._single_head()) != 0:
-            return False
-        a, _ = _sort_desc(self.trimmed().tail)
-        b, _ = _sort_desc(other.trimmed().tail)
-        return len(a) == len(b) and all(sign(x - y) == 0 for x, y in zip(a, b))
+        return BlowupVector(self.head, tuple(tail))
 
     def __str__(self):
         return format_vector(self)
@@ -109,7 +92,7 @@ def _sort_desc(values: Sequence[Value]) -> tuple[tuple[Value, ...], tuple[int, .
 def defect(v: BlowupVector) -> Value:
     """delta = head minus the first three tail entries (zero-padded)."""
     t = v.padded_tail()
-    return v._single_head() - t[0] - t[1] - t[2]
+    return v.head - t[0] - t[1] - t[2]
 
 
 def cremona_transform(v: BlowupVector) -> BlowupVector:
@@ -118,8 +101,8 @@ def cremona_transform(v: BlowupVector) -> BlowupVector:
     An involution; no reordering is performed.
     """
     t = v.padded_tail()
-    d = v._single_head() - t[0] - t[1] - t[2]
-    return BlowupVector(v.head + d, (t[0] + d, t[1] + d, t[2] + d) + t[3:], v.basis)
+    d = v.head - t[0] - t[1] - t[2]
+    return BlowupVector(v.head + d, (t[0] + d, t[1] + d, t[2] + d) + t[3:])
 
 
 def standard_move(v: BlowupVector) -> BlowupVector:
@@ -138,7 +121,7 @@ def is_reduced(v: BlowupVector) -> bool:
 
 def is_terminal_exceptional(v: BlowupVector) -> bool:
     """True iff the vector is (0; -1, 0, ..., 0) up to permutation."""
-    if sign(v._single_head()) != 0:
+    if sign(v.head) != 0:
         return False
     minus = 0
     for t in v.tail:
@@ -170,28 +153,33 @@ class ReductionTrace:
     def step_count(self) -> int:
         return len(self.steps)
 
-    def replay(self) -> BlowupVector:
-        """Re-run the recorded defects and permutations from the initial vector."""
+    def _walk(self):
+        """The sorted initial vector, then the vector after each recorded move."""
         v = self.initial
-        current = BlowupVector(v.head, v.padded_tail(), v.basis).sorted()
+        current = BlowupVector(v.head, v.padded_tail()).sorted()
+        yield current
         for step in self.steps:
             moved = cremona_transform(current)
+            current = BlowupVector(moved.head, tuple(moved.tail[i] for i in step.permutation))
+            yield current
+
+    def replay(self) -> BlowupVector:
+        """Re-run the recorded defects and permutations from the initial vector."""
+        vectors = self._walk()
+        current = next(vectors)
+        for step, moved in zip(self.steps, vectors):
             if sign(moved.head - current.head - step.defect) != 0:
                 raise ValueError("trace defect does not match replayed vector")
-            tail = tuple(moved.tail[i] for i in step.permutation)
-            current = BlowupVector(moved.head, tail, moved.basis)
+            current = moved
         return current
 
     def to_lines(self) -> list[str]:
-        lines = [f"init {format_vector(self.initial.trimmed())}"]
-        v = self.initial
-        current = BlowupVector(v.head, v.padded_tail(), v.basis).sorted()
-        for step in self.steps:
-            moved = cremona_transform(current)
-            tail = tuple(moved.tail[i] for i in step.permutation)
-            current = BlowupVector(moved.head, tail, moved.basis)
-            lines.append(f"{format_exact(step.defect)} {format_vector(current.trimmed())}")
-        return lines
+        vectors = self._walk()
+        next(vectors)
+        return [f"init {format_vector(self.initial.trimmed())}"] + [
+            f"{format_exact(step.defect)} {format_vector(v.trimmed())}"
+            for step, v in zip(self.steps, vectors)
+        ]
 
 
 class ReductionLimitError(RuntimeError):
@@ -211,7 +199,7 @@ def _ceil_value(x: Value) -> int:
 
 def default_max_steps(v: BlowupVector) -> int:
     """Default move cap: 10 * (tail length + head magnitude, rounded up)."""
-    return 10 * (len(v.tail) + _ceil_value(abs(v._single_head())))
+    return 10 * (len(v.tail) + _ceil_value(abs(v.head)))
 
 
 def reduce_to_reduced(v: BlowupVector, max_steps: Optional[int] = None) -> ReductionTrace:
@@ -220,10 +208,10 @@ def reduce_to_reduced(v: BlowupVector, max_steps: Optional[int] = None) -> Reduc
     Raises :class:`ReductionLimitError` (with the partial trace attached) if
     no reduced vector appears within ``max_steps`` moves.
     """
-    if sign(v._single_head()) < 0:
+    if sign(v.head) < 0:
         raise ValueError("reduction requires a nonnegative head")
     cap = default_max_steps(v) if max_steps is None else max_steps
-    work = BlowupVector(v.head, v.padded_tail(), v.basis).sorted()
+    work = BlowupVector(v.head, v.padded_tail()).sorted()
     steps: list[ReductionStep] = []
     while not is_reduced(work):
         if len(steps) >= cap:
@@ -234,7 +222,7 @@ def reduce_to_reduced(v: BlowupVector, max_steps: Optional[int] = None) -> Reduc
         moved = cremona_transform(work)
         tail, perm = _sort_desc(moved.tail)
         steps.append(ReductionStep(before=work, defect=delta, permutation=perm))
-        work = BlowupVector(moved.head, tail, moved.basis)
+        work = BlowupVector(moved.head, tail)
     return ReductionTrace(v, tuple(steps), work)
 
 
@@ -257,17 +245,30 @@ def method2_decide(mu, a_list, max_steps: Optional[int] = None) -> bool:
     return sign(final.head) >= 0 and all(sign(t) >= 0 for t in final.tail)
 
 
+def psi_push(d, e, m: Sequence) -> BlowupVector:
+    """Push (d,e;m) to the homology basis: (d+e-m1; d-m1, e-m1, m2, ...).
+
+    Transports solutions of the polydisc Diophantine system to solutions of
+    the ball one.
+    """
+    m = list(m)
+    if any(sign(x - y) < 0 for x, y in zip(m, m[1:])):
+        raise ValueError("m must be non-increasing")
+    m1 = m[0] if m else 0
+    return BlowupVector(d + e - m1, (d - m1, e - m1) + tuple(m[1:]))
+
+
 def format_vector(v: BlowupVector) -> str:
-    """Render "(head;t1,...,tn)"; polydisc vectors render as "(d,e;m...)"."""
-    if v.head2 is not None:
-        head = f"{format_exact(v.head)},{format_exact(v.head2)}"
-    else:
-        head = format_exact(v.head)
-    return f"({head};{','.join(format_exact(t) for t in v.tail)})"
+    """Render "(head;t1,...,tn)"."""
+    return f"({format_exact(v.head)};{','.join(format_exact(t) for t in v.tail)})"
 
 
 def parse_vector(s: str) -> BlowupVector:
-    """Parse the textual vector format accepted by the CLI ``reduce`` command."""
+    """Parse the textual vector format accepted by the CLI ``reduce`` command.
+
+    "(mu;a1,...,an)" is a vector as written; a class "(d,e;m1,...,mk)" on the
+    polydisc blow-up is pushed to the homology basis by :func:`psi_push`.
+    """
     text = s.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
@@ -280,5 +281,5 @@ def parse_vector(s: str) -> BlowupVector:
     if len(heads) == 1:
         return BlowupVector(heads[0], tail)
     if len(heads) == 2:
-        return BlowupVector(heads[0], tail, basis="polydisc", head2=heads[1])
+        return psi_push(heads[0], heads[1], tail)
     raise ValueError(f"too many head components in {s!r}")

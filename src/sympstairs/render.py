@@ -156,18 +156,13 @@ def emit_svg(spec: PlotSpec, width: int = 800, height: int = 500) -> str:
         for point in marks:
             if not spec.a_lo <= to_float(point) <= spec.a_hi:
                 continue
-            a_frac = point if isinstance(point, Fraction) else None
-            if a_frac is not None:
-                val = cb_closed(b, a_frac).value
-                parts.append(
-                    f'<circle cx="{px(to_float(point)):.6f}" cy="{py(to_float(val)):.6f}" '
-                    f'r="3" fill="#333333"/>'
-                )
+            if isinstance(point, Fraction):
+                val = cb_closed(b, point).value
             else:  # irrational breakpoint (alpha_b): the affine line meets the volume there
                 val = (b * point + 1) / Fraction(2 * b * (b + 1))
-                parts.append(
-                    f'<circle cx="{px(to_float(point)):.6f}" cy="{py(to_float(val)):.6f}" '
-                    f'r="3" fill="#333333"/>'
-                )
+            parts.append(
+                f'<circle cx="{px(to_float(point)):.6f}" cy="{py(to_float(val)):.6f}" '
+                f'r="3" fill="#333333"/>'
+            )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

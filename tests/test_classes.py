@@ -77,7 +77,6 @@ def test_psi_push_examples():
     assert f1.sorted().trimmed().tail == (Fraction(1),) * 5
     e0 = psi_push(1, 0, (1,))
     assert e0.head == 0 and tuple(e0.tail) == (0, -1)
-    assert e0.basis == "homology"
 
 
 def test_psi_push_requires_sorted_m():
@@ -109,20 +108,6 @@ def test_family_shapes():
     assert (gen_F(2).d, gen_F(2).e, gen_F(2).m) == (6, 3, (3,) + (2,) * 7)
     assert (gen_G(2).d, gen_G(2).e, gen_G(2).m) == (10, 5, (4,) * 6 + (1,) * 5)
     assert gen_E(0).m == (1,)
-
-
-def test_families_certify_with_expected_move_counts():
-    for n in range(0, 31):
-        c = gen_E(n)
-        assert c.certified
-        assert certification_trace(c).step_count == n
-    for n in range(1, 31):
-        c = gen_F(n)
-        assert c.certified
-        expected = 2 if n == 1 else 2 * n + 1
-        assert certification_trace(c).step_count == expected
-    for b in range(1, 21):
-        assert gen_G(b).certified
 
 
 def test_certify_rejects_non_exceptional():

@@ -86,6 +86,33 @@ def test_ech_term_count_must_be_positive(argv, capsys):
     assert "not a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["reduce", "(2;1,1,1,1,1)", "--max-steps", "0"], "not a positive integer"),
+        (["reduce", "(2;1,1,1,1,1)", "--max-steps", "-3"], "not a positive integer"),
+        (["table", "--b", "2", "--a", "1:10", "--n", "1"], "not a sample count"),
+        (["plot", "--b", "2", "--a", "1:10", "--n", "1", "--out", "-"], "not a sample count"),
+        (["scan", "--b", "2", "--a", "4:6", "--n", "1"], "not a sample count"),
+        (["eval", "--b", "2", "--a", "8", "--method", "bisect", "--tol", "0"], "not a positive rational"),
+        (["eval", "--b", "2", "--a", "8", "--method", "bisect", "--tol=-1/10"], "not a positive rational"),
+    ],
+)
+def test_out_of_range_arguments_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_reduce_max_steps_caps_the_moves(capsys):
+    code, out, _ = run(capsys, "reduce", "(2;1,1,1,1,1)", "--max-steps", "2")
+    assert (code, out.splitlines()[-1]) == (0, "steps 2")
+    code, _, err = run(capsys, "reduce", "(2;1,1,1,1,1)", "--max-steps", "1")
+    assert code == 1
+    assert "no reduced vector within 1" in err
+
+
 def test_reduce_prints_trace(capsys):
     code, out, _ = run(capsys, "reduce", "(2;1,1,1,1,1)")
     lines = out.splitlines()
@@ -210,6 +237,10 @@ def test_verify_suites_pass(capsys):
         ("edges", ["--b", "3"]),
         ("equivalence", []),
         ("classes", ["--max-n", "4"]),
+        ("method2", []),
+        ("ech", []),
+        ("geometry", []),
+        ("alarge", []),
     ]:
         code, out, _ = run(capsys, "verify", suite, *extra)
         assert code == 0, out

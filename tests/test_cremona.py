@@ -242,24 +242,6 @@ def test_method2_agrees_with_plateau_schedule():
         assert method2_decide(b + 1, [b] + [1] * (2 * b + 1)) is True
 
 
-# -- polydisc basis guard -------------------------------------------------------
-
-
-def test_polydisc_vectors_must_be_pushed():
-    v = BlowupVector(6, (3, 2, 2), basis="polydisc", head2=3)
-    with pytest.raises(ValueError):
-        defect(v)
-    with pytest.raises(ValueError):
-        cremona_transform(v)
-
-
-def test_basis_tag_validation():
-    with pytest.raises(ValueError):
-        BlowupVector(1, (1,), basis="polydisc")  # missing second head
-    with pytest.raises(ValueError):
-        BlowupVector(1, (1,), head2=1)  # second head without the tag
-
-
 # -- serialization ---------------------------------------------------------------
 
 
@@ -268,8 +250,8 @@ def test_vector_format_round_trip():
     assert parse_vector(format_vector(v)) == v
     q = BlowupVector(sqrt_rational(2) * 3, (sqrt_rational(2), Fraction(1)))
     assert parse_vector(format_vector(q)) == q
-    p = parse_vector("(6,3;3,2,2,2,2,2,2,2)")
-    assert p.basis == "polydisc" and p.head == 6 and p.head2 == 3
+    p = parse_vector("(6,3;3,2,2,2,2,2,2,2)")  # F_2, pushed by psi_push
+    assert p == BlowupVector(6, (3, 0) + (2,) * 7)
 
 
 def test_trace_lines_format():

@@ -35,14 +35,6 @@ def test_geometry_spot_values_b2():
     assert g.v_plus == 9
 
 
-def test_geometry_chain_up_to_50():
-    for b in range(2, 51):
-        g = step_geometry(b)  # construction re-checks every invariant
-        assert sign(g.alpha - g.v[1]) > 0
-        assert sign(g.alpha - (2 * b + 4)) < 0
-        assert 2 * b + 4 < g.beta < g.gamma
-
-
 def test_exceptional_interval_count():
     # ceil(sqrt(2b)) + 2 intervals of positive length (nonsqueezing, affine,
     # and the nondegenerate linear steps)
@@ -175,13 +167,6 @@ def test_folding_spot_values():
     assert folding_bound(5, 13) == Fraction(13, 11)  # f_b(2b+2k+1), b=5, k=1
     assert folding_bound(2, 7) == Fraction(7, 5) == cb_closed(2, 7).value
     assert volume_bound(2, 8) == sqrt_rational(2)
-
-
-def test_folding_meets_every_edge():
-    for b in range(2, 10):
-        for k in range(0, math.isqrt(2 * b) + 1):
-            edge = 2 * b + 2 * k + 1
-            assert folding_bound(b, edge) == cb_closed(b, edge).value
 
 
 def test_volume_le_closed_le_folding_window():

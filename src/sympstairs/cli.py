@@ -49,6 +49,8 @@ def _above(bound, parse, what: str):
 
 
 _positive_int = _above(0, int, "a positive integer")
+_nonnegative_int = _above(-1, int, "a nonnegative integer")
+_integer_b = _above(1, int, "an integer b >= 2")
 _sample_count = _above(1, int, "a sample count (at least 2)")
 _positive_rational = _above(0, Fraction, "a positive rational")
 
@@ -75,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate the capacity at one point")
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=_integer_b, required=True)
     p.add_argument("--a", type=_rational, required=True)
     p.add_argument("--method", choices=["closed", "bisect", "ech", "decide"], default="closed")
     p.add_argument("--tol", type=_positive_rational, default=Fraction(1, 10**4))
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact value to test with --method decide, e.g. 17/12 or sqrt(2)")
 
     p = sub.add_parser("table", help="CSV curve dump (closed form + bounds)")
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=_integer_b, required=True)
     p.add_argument("--a", type=_rational_range, required=True, metavar="LO:HI")
     p.add_argument("--n", type=_sample_count, default=181, help="number of samples")
     p.add_argument("--out")
@@ -101,8 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         choices=list(_SUITES),
     )
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--max-n", type=int, default=30)
+    p.add_argument("--b", type=_integer_b, default=2,
+                   help="b for the edges, method2, ech and alarge suites")
+    p.add_argument("--max-n", type=_nonnegative_int, default=30)
     p.add_argument("--n", type=_positive_int, default=2000, help="ECH terms for the ech suite")
     p.add_argument("--trace", action="store_true")
 
@@ -114,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("classes", help="list the certified class families")
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--max-b", type=int, default=5)
+    p.add_argument("--max-n", type=_nonnegative_int, default=10)
+    p.add_argument("--max-b", type=_nonnegative_int, default=5)
 
     p = sub.add_parser("reduce", help="reduce a vector and print the trace")
     p.add_argument("vector", help='e.g. "(2;1,1,1,1,1)" or "(6,3;3,2,2,2,2,2,2,2)"')

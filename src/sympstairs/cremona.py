@@ -1,4 +1,4 @@
-"""Cremona transforms and the reduction algorithm on blow-up vectors.
+"""Cremona transforms, traced reduction, and the Method-2 decision kernel.
 
 A blow-up vector is a head value with a finite tail, (mu; a1,...,an) for an
 embedding problem or (d; m1,...,mn) for a class on the blown-up plane; both
@@ -8,11 +8,21 @@ Cremona transform pad to three entries as needed, and trailing zeros are
 trimmed only on output.  Entries may be Fractions or QuadNums of one shared
 field; transforms never divide, so exactness is free.
 
-The reduction loop applies standard Cremona moves (sort descending, apply
-the transform, sort again) until the first reduced vector appears.  Each
-step records its defect and the permutation that re-sorted the tail, so a
-trace can be replayed and serialized from its initial vector.  All values
-are immutable; independent reductions are safe to run concurrently.
+Reduction applies standard Cremona moves (sort descending, apply the
+transform, sort again) until the first reduced vector appears.  It exists
+in two forms that make the same moves:
+
+* Traces (``reduce_to_reduced``) hold flat ``BlowupVector`` tails.  Each
+  step records its defect and the permutation that re-sorted the tail, so a
+  trace can be replayed and serialized from its initial vector.
+* Decisions (``method2_decide``) build no trace.  The vector is scaled to
+  one common denominator, so each entry is an int (rational entries) or an
+  integer pair p + q*sqrt(d) of one field, and the tail is held as
+  descending (value, multiplicity) runs.  A move takes the top three
+  entries and merges at most three new values back, so it costs O(runs),
+  not O(flat tail length); weight expansions come in few, long runs.
+
+All values are immutable; independent reductions are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -20,10 +30,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
+from itertools import chain, groupby, repeat
 from typing import Optional, Sequence
 
-from .numbers import Value, bounds, format_exact, parse_exact, sign
+from .numbers import (
+    IncompatibleFieldError,
+    QuadNum,
+    Value,
+    bounds,
+    format_exact,
+    parse_exact,
+    sign,
+    surd_sign,
+)
 
 __all__ = [
     "BlowupVector",
@@ -57,7 +76,10 @@ class BlowupVector:
 
     def __post_init__(self):
         object.__setattr__(self, "head", _coerce(self.head))
-        object.__setattr__(self, "tail", tuple(_coerce(t) for t in self.tail))
+        # tuple(list), not tuple(generator): a tuple built from a generator is
+        # resized as it grows, and CPython then keeps it on a per-size free
+        # list, so hot paths would leave thousands of tuples behind
+        object.__setattr__(self, "tail", tuple([_coerce(t) for t in self.tail]))
 
     def padded_tail(self, n: int = 3) -> tuple[Value, ...]:
         if len(self.tail) >= n:
@@ -80,13 +102,8 @@ class BlowupVector:
 
 def _sort_desc(values: Sequence[Value]) -> tuple[tuple[Value, ...], tuple[int, ...]]:
     """Stable descending sort; returns (sorted values, permutation of indices)."""
-
-    def cmp(i: int, j: int) -> int:
-        s = sign(values[j] - values[i])
-        return s if s else i - j
-
-    order = tuple(sorted(range(len(values)), key=cmp_to_key(cmp)))
-    return tuple(values[i] for i in order), order
+    order = tuple(sorted(range(len(values)), key=values.__getitem__, reverse=True))
+    return tuple([values[i] for i in order]), order
 
 
 def defect(v: BlowupVector) -> Value:
@@ -134,10 +151,9 @@ def is_terminal_exceptional(v: BlowupVector) -> bool:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One standard move: the sorted vector it acted on, the defect used,
-    and the permutation that restored descending order afterwards."""
+    """One standard move: the defect used and the permutation that restored
+    descending order afterwards."""
 
-    before: BlowupVector
     defect: Value
     permutation: tuple[int, ...]
 
@@ -160,7 +176,7 @@ class ReductionTrace:
         yield current
         for step in self.steps:
             moved = cremona_transform(current)
-            current = BlowupVector(moved.head, tuple(moved.tail[i] for i in step.permutation))
+            current = BlowupVector(moved.head, tuple([moved.tail[i] for i in step.permutation]))
             yield current
 
     def replay(self) -> BlowupVector:
@@ -189,6 +205,7 @@ class ReductionLimitError(RuntimeError):
         self.trace = trace
         super().__init__(
             f"no reduced vector within {trace.step_count} standard Cremona moves"
+            f" (tail length {len(trace.initial.tail)})"
         )
 
 
@@ -221,7 +238,7 @@ def reduce_to_reduced(v: BlowupVector, max_steps: Optional[int] = None) -> Reduc
         delta = defect(work)
         moved = cremona_transform(work)
         tail, perm = _sort_desc(moved.tail)
-        steps.append(ReductionStep(before=work, defect=delta, permutation=perm))
+        steps.append(ReductionStep(defect=delta, permutation=perm))
         work = BlowupVector(moved.head, tail)
     return ReductionTrace(v, tuple(steps), work)
 
@@ -231,18 +248,131 @@ def method2_decide(mu, a_list, max_steps: Optional[int] = None) -> bool:
 
     Returns True (embeds) iff the first reduced vector in the standard-move
     orbit has only nonnegative entries.  A negative square mu^2 - sum(ai^2)
-    is an immediate no.
+    is an immediate no.  Equal consecutive entries are grouped into runs for
+    the trace-free kernel, which makes the moves of :func:`reduce_to_reduced`.
     """
-    mu = _coerce(mu)
+    return _method2_runs(mu, [(a, len(list(g))) for a, g in groupby(a_list)], max_steps)[0]
+
+
+def _method2_flat(mu, tail: Sequence, max_steps: Optional[int] = None) -> bool:
+    """The same decision by a traced reduction of the flat vector."""
     if sign(mu) < 0:
         raise ValueError("head must be nonnegative")
-    tail = tuple(_coerce(a) for a in a_list)
-    alpha_sq = mu * mu - sum((a * a for a in tail), Fraction(0))
-    if sign(alpha_sq) < 0:
+    if sign(mu * mu - sum((a * a for a in tail), Fraction(0))) < 0:
         return False
-    trace = reduce_to_reduced(BlowupVector(mu, tail), max_steps)
-    final = trace.final
-    return sign(final.head) >= 0 and all(sign(t) >= 0 for t in final.tail)
+    final = reduce_to_reduced(BlowupVector(mu, tuple(tail)), max_steps).final
+    return all(sign(x) >= 0 for x in (final.head, *final.tail))
+
+
+class _Surd:
+    """p + q*sqrt(d) with integer p, q: an entry of a scaled Q(sqrt(d)) vector."""
+
+    __slots__ = ("p", "q", "d")
+
+    def __init__(self, p: int, q: int, d: int):
+        self.p, self.q, self.d = p, q, d
+
+    def __add__(self, other):
+        return _Surd(self.p + other.p, self.q + other.q, self.d)
+
+    def __sub__(self, other):
+        return _Surd(self.p - other.p, self.q - other.q, self.d)
+
+    def __mul__(self, other):  # by an int multiplicity, or by another _Surd
+        if isinstance(other, int):
+            return _Surd(self.p * other, self.q * other, self.d)
+        p, q = other.p, other.q
+        return _Surd(self.p * p + self.q * q * self.d, self.p * q + self.q * p, self.d)
+
+    def __eq__(self, other):
+        return self.p == other.p and self.q == other.q
+
+    def __lt__(self, other):
+        return surd_sign(self.p - other.p, self.q - other.q, self.d) < 0
+
+
+def _scaled(values: list) -> list:
+    """The values times their common denominator: ints, or _Surds of one field.
+
+    Scaling by a positive integer keeps every sign, and moves never divide,
+    so the whole reduction stays in integers.
+    """
+    if not all(isinstance(v, (int, Fraction, QuadNum)) for v in values):
+        raise TypeError("the Method-2 decision needs exact values")
+    fields = {v.d for v in values if isinstance(v, QuadNum)}
+    if len(fields) > 1:
+        raise IncompatibleFieldError(f"radicands {sorted(fields)} lie in distinct fields")
+    parts = [(v.p, v.q) if isinstance(v, QuadNum) else (v, 0) for v in values]
+    den = math.lcm(*[x.denominator for pq in parts for x in pq])
+    ints = [[x.numerator * (den // x.denominator) for x in pq] for pq in parts]
+    if not fields:
+        return [p for p, _ in ints]
+    d = fields.pop()
+    return [_Surd(p, q, d) for p, q in ints]
+
+
+def _method2_runs(head, runs: Sequence[tuple], max_steps: Optional[int] = None) -> tuple[bool, int]:
+    """The Method-2 decision on a run-length tail: (embeds, moves made).
+
+    ``runs`` lists (value, multiplicity) in any order; flattened in order it
+    is the tail :func:`reduce_to_reduced` would start from.  The moves, their
+    cap and the answer are those of the flat path, but no trace is built: a
+    move takes the top three entries and merges three values back, O(runs).
+    At the cap the flat path is re-run to raise :class:`ReductionLimitError`
+    with its partial trace.
+    """
+    if sign(head) < 0:
+        raise ValueError("head must be nonnegative")
+    h, *values = _scaled([head, *(v for v, _ in runs)])
+    zero = h - h
+    square = h * h
+    tail: list[list] = []  # descending [value, multiplicity] runs
+    for v, (_, mult) in sorted(zip(values, runs), key=lambda vr: vr[0], reverse=True):
+        square = square - v * v * mult
+        if tail and tail[-1][0] == v:
+            tail[-1][1] += mult
+        else:
+            tail.append([v, mult])
+    if square < zero:
+        return False, 0
+    flat_length = sum(mult for _, mult in runs)
+    if flat_length < 3:
+        _insert(tail, zero, 3 - flat_length)
+    cap = 10 * (flat_length + _ceil_value(abs(head))) if max_steps is None else max_steps
+    moves = 0
+    while True:
+        top = []
+        while len(top) < 3:
+            run = tail[0]
+            take = min(run[1], 3 - len(top))
+            top += [run[0]] * take
+            run[1] -= take
+            if not run[1]:
+                del tail[0]
+        delta = h - top[0] - top[1] - top[2]
+        if not delta < zero:
+            least = tail[-1][0] if tail else top[2]
+            return not (h < zero or least < zero), moves
+        if moves >= cap:
+            flat = chain.from_iterable(repeat(v, mult) for v, mult in runs)
+            _method2_flat(head, list(flat), max_steps)
+            raise AssertionError("the run-length and flat reductions disagree")
+        moves += 1
+        h = h + delta
+        for t in top:
+            _insert(tail, t + delta, 1)
+
+
+def _insert(tail: list, value, count: int):
+    """Merge ``count`` copies of ``value`` into a descending run-length tail."""
+    for i, run in enumerate(tail):
+        if run[0] == value:
+            run[1] += count
+            return
+        if run[0] < value:
+            tail.insert(i, [value, count])
+            return
+    tail.append([value, count])
 
 
 def psi_push(d, e, m: Sequence) -> BlowupVector:

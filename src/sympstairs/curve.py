@@ -17,8 +17,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .classes import real_b_obstructions
-from .cremona import BlowupVector, defect, method2_decide, standard_move
-from .numbers import Value, sign, sqrt_rational
+from .cremona import BlowupVector, _method2_flat, _method2_runs, defect, standard_move
+from .numbers import QuadNum, Value, sign, sqrt_rational
 from .weights import weight_expansion
 
 __all__ = [
@@ -208,7 +208,9 @@ def method2_cb_decide(b: int, a, lam, max_steps: Optional[int] = None) -> bool:
 
     Reduces ((b+1)L; bL, L, w(a)) and reports whether the first reduced
     vector is nonnegative.  lam may be rational or a QuadNum (e.g. the exact
-    volume bound, where the square of the vector vanishes).
+    volume bound, where the square of the vector vanishes).  The weights
+    enter as the runs of the expansion, so a decision costs time in the
+    continued-fraction length of a, not in its flat weight count.
     """
     _check_b(b)
     a = Fraction(a)
@@ -216,8 +218,12 @@ def method2_cb_decide(b: int, a, lam, max_steps: Optional[int] = None) -> bool:
         raise ValueError(f"needs a >= 1, got {a}")
     if sign(lam) <= 0:
         raise ValueError("lambda must be positive")
-    w = weight_expansion(a).flatten()
-    return method2_decide((b + 1) * lam, [b * lam, lam, *w], max_steps)
+    w = weight_expansion(a)
+    if isinstance(lam, QuadNum):
+        # irrational lambda (the exact volume bound) keeps the flat path; see
+        # ROADMAP item 1
+        return _method2_flat((b + 1) * lam, [b * lam, lam, *w.flatten()], max_steps)
+    return _method2_runs((b + 1) * lam, [(b * lam, 1), (lam, 1), *w.entries], max_steps)[0]
 
 
 def cb_bisect(b: int, a, tol, max_steps: Optional[int] = None) -> tuple[Fraction, Fraction]:

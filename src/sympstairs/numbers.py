@@ -33,6 +33,7 @@ __all__ = [
     "quad_make",
     "sign",
     "sqrt_rational",
+    "surd_sign",
     "to_float",
 ]
 
@@ -213,19 +214,7 @@ class QuadNum:
 
     def sign(self) -> int:
         """Exact sign of p + q*sqrt(d), by case analysis on p, q."""
-        p, q = self.p, self.q
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        diff = p * p - q * q * self.d  # compares |p| with |q|*sqrt(d)
-        if diff == 0:
-            return 0
-        if p > 0:  # q < 0
-            return 1 if diff > 0 else -1
-        return -1 if diff > 0 else 1
+        return surd_sign(self.p, self.q, self.d)
 
     def _cmp(self, other) -> int:
         if isinstance(other, (int, Fraction)):
@@ -281,6 +270,25 @@ class QuadNum:
 
     def __str__(self):
         return format_exact(self)
+
+
+def surd_sign(p, q, d: int) -> int:
+    """Exact sign of p + q*sqrt(d) for rational (or integer) p, q and d >= 2
+    not a square, by case analysis on the signs of p and q."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return 1 if q > 0 else -1
+    if p > 0 and q > 0:
+        return 1
+    if p < 0 and q < 0:
+        return -1
+    diff = p * p - q * q * d  # compares |p| with |q|*sqrt(d)
+    if diff == 0:
+        return 0
+    if p > 0:  # q < 0
+        return 1 if diff > 0 else -1
+    return -1 if diff > 0 else 1
 
 
 def sign(x) -> int:

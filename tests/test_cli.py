@@ -58,7 +58,7 @@ def test_eval_decide(capsys):
 
 
 def test_eval_domain_error_exit_code(capsys):
-    code, _, err = run(capsys, "eval", "--b", "1", "--a", "8")
+    code, _, err = run(capsys, "eval", "--b", "2", "--a", "1/2")
     assert code == 1
     assert "error" in err
 
@@ -96,6 +96,17 @@ def test_ech_term_count_must_be_positive(argv, capsys):
         (["scan", "--b", "2", "--a", "4:6", "--n", "1"], "not a sample count"),
         (["eval", "--b", "2", "--a", "8", "--method", "bisect", "--tol", "0"], "not a positive rational"),
         (["eval", "--b", "2", "--a", "8", "--method", "bisect", "--tol=-1/10"], "not a positive rational"),
+        (["eval", "--b", "1", "--a", "8"], "not an integer b >= 2"),
+        (["table", "--b", "1", "--a", "1:10"], "not an integer b >= 2"),
+        (["verify", "alarge", "--b", "1"], "not an integer b >= 2"),
+        (["verify", "alarge", "--b", "-2"], "not an integer b >= 2"),
+        (["verify", "geometry", "--b", "-5"], "not an integer b >= 2"),
+        (["verify", "edges", "--b", "1"], "not an integer b >= 2"),
+        (["verify", "method2", "--b", "1"], "not an integer b >= 2"),
+        (["verify", "ech", "--b", "1"], "not an integer b >= 2"),
+        (["verify", "classes", "--max-n", "-1"], "not a nonnegative integer"),
+        (["classes", "--max-n", "-1"], "not a nonnegative integer"),
+        (["classes", "--max-b", "-1"], "not a nonnegative integer"),
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, message, capsys):

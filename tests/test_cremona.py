@@ -1,15 +1,17 @@
 """Cremona transforms, standard moves, reduction traces, Method-2 decisions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sympstairs.cremona import (
     BlowupVector,
     ReductionLimitError,
+    _method2_runs,
     cremona_transform,
     default_max_steps,
     defect,
@@ -21,7 +23,7 @@ from sympstairs.cremona import (
     reduce_to_reduced,
     standard_move,
 )
-from sympstairs.numbers import sqrt_rational
+from sympstairs.numbers import IncompatibleFieldError, bounds, quad_make, sign, sqrt_rational
 from sympstairs.weights import weight_expansion
 
 
@@ -160,6 +162,7 @@ def test_max_steps_exhaustion_reports_partial_trace():
         reduce_to_reduced(vec(2, 1, 1, 1, 1, 1), max_steps=1)
     assert err.value.trace.step_count == 1
     assert err.value.trace.exhausted
+    assert str(err.value) == "no reduced vector within 1 standard Cremona moves (tail length 5)"
 
 
 def test_default_max_steps_formula():
@@ -260,3 +263,101 @@ def test_trace_lines_format():
     assert lines[0] == "init (2;1,1,1,1,1)"
     assert lines[1].startswith("-1 ")
     assert len(lines) == trace.step_count + 1
+
+
+# -- the run-length kernel against the flat path -----------------------------------
+
+
+def flat_decide(mu, tail, max_steps=None):
+    """Oracle: the final vector of reduce_to_reduced is nonnegative, after the
+    negative-square check."""
+    if sign(mu * mu - sum((a * a for a in tail), Fraction(0))) < 0:
+        return False
+    final = reduce_to_reduced(BlowupVector(mu, tuple(tail)), max_steps).final
+    return sign(final.head) >= 0 and all(sign(t) >= 0 for t in final.tail)
+
+
+def outcome(decide, mu, tail, max_steps=None):
+    try:
+        return decide(mu, tail, max_steps)
+    except ReductionLimitError as exc:
+        return "limit", exc.trace.step_count
+
+
+small = st.fractions(min_value=-4, max_value=16, max_denominator=6)
+heads = st.fractions(min_value=0, max_value=30, max_denominator=4)
+
+
+def tails(values, min_size=0):
+    """Tails drawn from a small pool plus zero, so entries repeat."""
+    pools = st.lists(values, min_size=1, max_size=4)
+    return pools.flatmap(
+        lambda pool: st.lists(st.sampled_from(pool + [Fraction(0)]), min_size=min_size, max_size=14)
+    )
+
+
+def surds(d):
+    return st.builds(quad_make, small, st.fractions(-3, 3, max_denominator=3), st.just(d))
+
+
+@st.composite
+def vectors(draw, values, shift=st.just(Fraction(0))):
+    """((b+1)L; bL, L, tail) with L near sqrt(sum of squares / 2b): the square
+    is about zero and the defect often negative, as in a Method-2 decision
+    near the capacity, so the vector is neither short-circuited nor reduced
+    at once."""
+    b = draw(st.integers(1, 5))
+    tail = draw(tails(values, 3))
+    square = sum((bounds(t)[0] ** 2 for t in tail), Fraction(1)) / (2 * b)
+    lam = Fraction(math.isqrt(math.floor(square * 10**4)), 100)
+    lam = lam * draw(st.fractions(Fraction(9, 10), Fraction(12, 10), max_denominator=20))
+    lam += draw(shift)
+    lam = -lam if sign(lam) < 0 else lam
+    return (b + 1) * lam, [*tail, b * lam, lam] if draw(st.booleans()) else [b * lam, lam, *tail]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(vectors(small) | st.tuples(heads, tails(small)))
+def test_kernel_matches_flat_on_rationals(vector):
+    mu, tail = vector
+    assert method2_decide(mu, tail) is flat_decide(mu, tail)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]).flatmap(lambda d: vectors(surds(d) | small, surds(d).map(lambda x: x / 8))))
+def test_kernel_matches_flat_in_quadratic_fields(vector):
+    mu, tail = vector
+    assert method2_decide(mu, tail) is flat_decide(mu, tail)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(vectors(small), st.integers(1, 4))
+def test_kernel_move_cap_matches_flat(vector, max_steps):
+    mu, tail = vector
+    assert outcome(method2_decide, mu, tail, max_steps) == outcome(flat_decide, mu, tail, max_steps)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.fractions(1, 30, max_denominator=40), st.fractions(1, 4, max_denominator=50))
+def test_kernel_counts_the_flat_moves_on_weight_runs(b, a, lam):
+    w = weight_expansion(a)
+    flat = [b * lam, lam, *w.flatten()]
+    embeds, moves = _method2_runs((b + 1) * lam, [(b * lam, 1), (lam, 1), *w.entries])
+    assert embeds is flat_decide((b + 1) * lam, flat)
+    if moves:
+        assert moves == reduce_to_reduced(BlowupVector((b + 1) * lam, tuple(flat))).step_count
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(surds(2), surds(3), tails(small))
+def test_kernel_rejects_mixed_radicands(x, y, tail):
+    assume(not isinstance(x, Fraction) and not isinstance(y, Fraction))
+    with pytest.raises(IncompatibleFieldError):
+        method2_decide(abs(x) * 10, [x, *tail, y])
+
+
+def test_kernel_rejects_floats_and_negative_heads():
+    with pytest.raises(TypeError):
+        method2_decide(3, [1.5, 1])
+    with pytest.raises(ValueError):
+        method2_decide(Fraction(-1), [1])

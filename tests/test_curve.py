@@ -291,6 +291,29 @@ def test_cb_bisect_brackets_closed_form(b, a, target):
     assert method2_cb_decide(b, a, hi)
 
 
+# Method 2 alone at large b: the bracket holds the closed form, and its upper
+# end rescales to within 1/10 of the limit staircase c_infty (the closed-form
+# version of this check is criterion 09).
+LIMIT_POINTS = [Fraction(j, 4) for j in (2, 4, 6, 10, 14, 21, 37, 80)]
+
+
+@pytest.mark.parametrize(
+    "b,tol,points",
+    [
+        (500, Fraction(1, 10**6), LIMIT_POINTS),
+        (1000, Fraction(1, 10**6), LIMIT_POINTS),
+        (10**4, Fraction(1, 10**7), [Fraction(6, 4), Fraction(37, 4)]),
+    ],
+)
+def test_method2_brackets_rescaled_limit_at_large_b(b, tol, points):
+    for a_shift in points:
+        a = a_shift + 2 * b
+        lo, hi = cb_bisect(b, a, tol)
+        closed = cb_closed(b, a).value
+        assert sign(closed - lo) >= 0 and sign(hi - closed) >= 0, (b, a_shift)
+        assert c_infty(a_shift) - (2 * b * hi - 2 * b) <= Fraction(1, 10), (b, a_shift)
+
+
 def test_three_way_agreement_sweep():
     # bisection brackets the closed form and the ECH bound stays below it,
     # across every rational with denominator <= 3 in [1, 2b+3]

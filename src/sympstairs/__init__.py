@@ -8,21 +8,15 @@ roots); floats appear only in presentation.
 """
 
 from .classes import (
-    ErrorReport,
     ExceptionalClass,
     certification_trace,
     certify,
-    check_dio_ball,
     check_dio_polydisc,
-    closed_form_mu_E,
-    closed_form_mu_F,
     enumerate_dio_solutions,
-    error_report,
     format_class,
     gen_E,
     gen_F,
     gen_G,
-    intersection_product,
     obstruction_mu,
     real_b_obstructions,
 )
@@ -57,11 +51,10 @@ from .curve import (
     step_geometry,
     volume_bound,
 )
-from .ech import CapacitySequence, ech_lower_bound, ech_sequence
+from .ech import ech_lower_bound, ech_sequence
 from .numbers import (
     IncompatibleFieldError,
     QuadNum,
-    Rational,
     Value,
     bounds,
     compare_values,

@@ -107,20 +107,18 @@ def method2_points(b: int, max_den: int, span: int) -> list[Fraction]:
     ]
 
 
-def method2(
-    b: int = 2, max_den: int = 4, span: int = 6, offset=Fraction(1, 10**3), max_steps=None
-) -> Iterator[Record]:
+def method2(b: int = 2, max_den: int = 4, span: int = 6, offset=Fraction(1, 10**3)) -> Iterator[Record]:
     """Method 2 embeds at the closed value, and rejects closed value - offset
     wherever that is rational and at least the volume bound."""
     points = method2_points(b, max_den, span)
     bad_embed = bad_reject = 0
     for a in points:
         value = cb_closed(b, a).value
-        if not method2_cb_decide(b, a, value, max_steps):
+        if not method2_cb_decide(b, a, value):
             bad_embed += 1
         if isinstance(value, Fraction):
             lam = value - offset
-            if sign(lam - volume_bound(b, a)) >= 0 and method2_cb_decide(b, a, lam, max_steps):
+            if sign(lam - volume_bound(b, a)) >= 0 and method2_cb_decide(b, a, lam):
                 bad_reject += 1
     yield Record(f"embeds at closed value ({len(points)} pts)", 0, bad_embed)
     yield Record("rejects below closed value", 0, bad_reject)
@@ -173,15 +171,19 @@ def alarge(b: int = 2, samples=None, max_e: int = 3, d_slack=None) -> Iterator[R
         samples = [2 * b + 2 * root + 2 + Fraction(j, 2) for j in range(5)]
     if d_slack is None:
         d_slack = root + 1
-    flats = [(Fraction(a), weight_expansion(a).flatten()) for a in samples]
+    # a = p/q enters as (p*q, q*w(a)), whose weights are integers
+    flats = []
+    for a in map(Fraction, samples):
+        q = a.denominator
+        flats.append((a.numerator * q, [int(q * w) for w in weight_expansion(a).flatten()]))
     bad = 0
     for e in range(0, max_e + 1):
         for d in range(0, b * e + d_slack + 1):
             weight_sq = (d + b * e) ** 2
             for m in enumerate_dio_solutions(d, e):
-                for a, flat in flats:
-                    dot = sum(mi * wi for mi, wi in zip(m, flat))
-                    # mu_b(d,e;m)(a) = dot/(d+be) > sqrt(a/2b)  iff  2b*dot^2 > a*(d+be)^2
-                    if 2 * b * dot * dot > a * weight_sq:
+                for pq, flat in flats:
+                    dot = sum(mi * wi for mi, wi in zip(m, flat))  # q * <m, w(a)>
+                    # mu_b(d,e;m)(a) = dot/(q(d+be)) > sqrt(a/2b)  iff  2b*dot^2 > p*q*(d+be)^2
+                    if 2 * b * dot * dot > pq * weight_sq:
                         bad += 1
     yield Record(f"volume regime holds (b={b})", 0, bad)

@@ -20,25 +20,18 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cremona import ReductionTrace, is_terminal_exceptional, psi_push, reduce_to_reduced
-from .numbers import Value, sign, sqrt_rational
-from .weights import flat_length, weight_expansion, weight_inner
+from .weights import weight_expansion, weight_inner
 
 __all__ = [
-    "ErrorReport",
     "ExceptionalClass",
     "certification_trace",
     "certify",
-    "check_dio_ball",
     "check_dio_polydisc",
-    "closed_form_mu_E",
-    "closed_form_mu_F",
     "enumerate_dio_solutions",
-    "error_report",
     "format_class",
     "gen_E",
     "gen_F",
     "gen_G",
-    "intersection_product",
     "obstruction_mu",
     "psi_push",
     "real_b_obstructions",
@@ -74,21 +67,16 @@ def check_dio_polydisc(d: int, e: int, m: Sequence[int]) -> bool:
     return sum(m) == 2 * (d + e) - 1 and sum(x * x for x in m) == 2 * d * e + 1
 
 
-def check_dio_ball(d: int, m: Sequence[int]) -> bool:
-    """Both equations sum(m) = 3d-1 and sum(m^2) = d^2+1, exactly."""
-    return sum(m) == 3 * d - 1 and sum(x * x for x in m) == d * d + 1
-
-
-def certification_trace(c: ExceptionalClass, max_steps: Optional[int] = None) -> ReductionTrace:
+def certification_trace(c: ExceptionalClass) -> ReductionTrace:
     """Reduction trace of the pushed-forward class; terminal iff certifiable."""
-    return reduce_to_reduced(psi_push(c.d, c.e, c.m), max_steps)
+    return reduce_to_reduced(psi_push(c.d, c.e, c.m))
 
 
-def certify(c: ExceptionalClass, max_steps: Optional[int] = None) -> ExceptionalClass:
+def certify(c: ExceptionalClass) -> ExceptionalClass:
     """Return the class marked certified; raise if certification fails."""
     if not check_dio_polydisc(c.d, c.e, c.m):
         raise ValueError(f"{format_class(c)} fails the Diophantine system")
-    trace = certification_trace(c, max_steps)
+    trace = certification_trace(c)
     if not is_terminal_exceptional(trace.final):
         raise ValueError(f"{format_class(c)} does not reduce to (0;-1,0,...,0)")
     return ExceptionalClass(c.d, c.e, c.m, certified=True)
@@ -134,28 +122,6 @@ def obstruction_mu(c: ExceptionalClass, b, a) -> Fraction:
     return weight_inner(c.m, weight_expansion(a)) / (c.d + b * c.e)
 
 
-def closed_form_mu_E(b: int, k: int, a) -> Fraction:
-    """Closed form of mu_b(E_{b+k}): a/(2b+k) on [2b+2k, 2b+2k+1], then constant."""
-    a = Fraction(a)
-    if not 0 <= k <= math.isqrt(2 * b):
-        raise ValueError(f"k must lie in [0, floor(sqrt(2b))], got {k}")
-    if a < 2 * b + 2 * k:
-        raise ValueError(f"a = {a} below the domain of the E_(b+k) closed form")
-    if a <= 2 * b + 2 * k + 1:
-        return a / (2 * b + k)
-    return Fraction(2 * b + 2 * k + 1, 2 * b + k)
-
-
-def closed_form_mu_F(b: int, a) -> Fraction:
-    """Closed form of mu_b(F_b): (ba+1)/(2b(b+1)) on [2b+3, 2b+4], then constant."""
-    a = Fraction(a)
-    if a < 2 * b + 3:
-        raise ValueError(f"a = {a} below the domain of the F_b closed form")
-    if a <= 2 * b + 4:
-        return (b * a + 1) / (2 * b * (b + 1))
-    return 1 + Fraction(2 * b + 1, 2 * b * (b + 1))
-
-
 def real_b_obstructions(b, a) -> list[tuple[str, Fraction]]:
     """Obstruction values relevant for real b >= 2 at the point a.
 
@@ -178,50 +144,17 @@ def real_b_obstructions(b, a) -> list[tuple[str, Fraction]]:
     return out
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Diagnostics of the error vector eps = m - (d+be)/sqrt(2ba) * w(a)."""
-
-    h: Fraction  # d - b*e
-    eps_inner_w: Value  # <eps, w(a)>
-    eps_norm_sq: Value  # <eps, eps>
-    obstructive: bool  # eps_inner_w > 0, equivalently mu_b > sqrt(a/2b)
-
-
-def error_report(c: ExceptionalClass, b, a) -> ErrorReport:
-    """Exact error-vector quantities, computed in Q(sqrt(2ba))."""
-    b, a = Fraction(b), Fraction(a)
-    if a < 1 or b < 1:
-        raise ValueError("needs a >= 1 and b >= 1")
-    w = weight_expansion(a)
-    pairing = weight_inner(c.m, w)
-    weight = c.d + b * c.e
-    t = weight / sqrt_rational(2 * b * a)
-    eps_inner = pairing - t * a
-    eps_norm = sum(x * x for x in c.m) - 2 * t * pairing + t * t * a
-    return ErrorReport(
-        h=c.d - b * c.e,
-        eps_inner_w=eps_inner,
-        eps_norm_sq=eps_norm,
-        obstructive=sign(eps_inner) > 0,
-    )
-
-
-def enumerate_dio_solutions(d: int, e: int, max_tail: Optional[int] = None, a=None) -> list[tuple[int, ...]]:
+def enumerate_dio_solutions(d: int, e: int, max_tail: Optional[int] = None) -> list[tuple[int, ...]]:
     """All non-increasing positive integer vectors m solving the Diophantine
-    system for (d, e), with at most max_tail entries.
+    system for (d, e), with at most max_tail entries (default 2(d+e)-1).
 
     Backtracks from the largest admissible leading entry, pruning on the
-    residual linear and quadratic budgets.  When a target ``a`` is given,
-    max_tail defaults to the flat length of its weight expansion (classes
-    obstructive at a cannot be longer).
+    residual linear and quadratic budgets.
     """
     if d < 0 or e < 0:
         raise ValueError("d and e must be nonnegative")
     lin = 2 * (d + e) - 1
     quad = 2 * d * e + 1
-    if max_tail is None:
-        max_tail = flat_length(a) if a is not None else lin
     out: list[tuple[int, ...]] = []
     if lin < 0:
         return out
@@ -241,11 +174,6 @@ def enumerate_dio_solutions(d: int, e: int, max_tail: Optional[int] = None, a=No
         for m in range(hi, 0, -1):
             extend(prefix + [m], m, lin - m, quad - m * m, slots - 1)
 
-    extend([], min(lin, math.isqrt(quad)), lin, quad, max_tail)
+    extend([], min(lin, math.isqrt(quad)), lin, quad, lin if max_tail is None else max_tail)
     return out
 
-
-def intersection_product(c1: ExceptionalClass, c2: ExceptionalClass) -> int:
-    """Pairing d1*e2 + d2*e1 - <m1, m2> in the S1, S2, F_i basis."""
-    dot = sum(x * y for x, y in zip(c1.m, c2.m))
-    return c1.d * c2.e + c2.d * c1.e - dot

@@ -2,13 +2,12 @@
 
 Subcommands: eval | table | plot | verify | scan | classes | reduce.
 Exit codes: 0 success / all checks pass, 1 runtime or I/O error (or a failed
-verify), 2 usage error.  SYMPSTAIRS_MAX_STEPS overrides the reduction cap.
+verify), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -19,11 +18,6 @@ from .curve import cb_bisect, cb_closed, method2_cb_decide
 from .ech import ech_lower_bound
 from .numbers import format_exact, parse_exact, to_float
 from .render import PlotSpec, emit_scan_csv, emit_svg, emit_table_csv
-
-
-def _max_steps() -> int | None:
-    raw = os.environ.get("SYMPSTAIRS_MAX_STEPS")
-    return int(raw) if raw else None
 
 
 def _rational(text: str) -> Fraction:
@@ -131,14 +125,14 @@ def cmd_eval(args) -> int:
         value = cb_closed(args.b, args.a).value
         print(f"{format_exact(value)}\t{to_float(value):.15g}")
     elif args.method == "bisect":
-        lo, hi = cb_bisect(args.b, args.a, args.tol, _max_steps())
+        lo, hi = cb_bisect(args.b, args.a, args.tol)
         mid = (lo + hi) / 2
         print(f"[{format_exact(lo)},{format_exact(hi)}]\t{to_float(mid):.15g}")
     elif args.method == "decide":
         if args.lam is None:
             raise ValueError("--method decide needs --lambda")
         lam = parse_exact(args.lam)
-        embeds = method2_cb_decide(args.b, args.a, lam, _max_steps())
+        embeds = method2_cb_decide(args.b, args.a, lam)
         print("Embeds" if embeds else "DoesNotEmbed")
     else:
         value = ech_lower_bound(args.b, args.a, args.n)
@@ -178,8 +172,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    cap = _max_steps() if args.max_steps is None else args.max_steps
-    trace = reduce_to_reduced(parse_vector(args.vector), cap)
+    trace = reduce_to_reduced(parse_vector(args.vector), args.max_steps)
     for line in trace.to_lines():
         print(line)
     print(f"steps {trace.step_count}")
@@ -192,7 +185,7 @@ _SUITES = {
     "weights": lambda checks, args: checks.weights(),
     "classes": lambda checks, args: checks.classes(args.max_n),
     "edges": lambda checks, args: checks.edges(args.b),
-    "method2": lambda checks, args: checks.method2(args.b, max_steps=_max_steps()),
+    "method2": lambda checks, args: checks.method2(args.b),
     "equivalence": lambda checks, args: checks.equivalence(),
     "ech": lambda checks, args: checks.ech(args.b, args.n),
     "geometry": lambda checks, args: checks.geometry(),

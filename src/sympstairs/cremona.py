@@ -214,6 +214,14 @@ def _ceil_value(x: Value) -> int:
     return math.ceil(hi)
 
 
+def _radicand(values: Sequence) -> Optional[int]:
+    """The one radicand of the QuadNum values, or None; two radicands raise."""
+    fields = {v.d for v in values if isinstance(v, QuadNum)}
+    if len(fields) > 1:
+        raise IncompatibleFieldError(f"radicands {sorted(fields)} lie in distinct fields")
+    return fields.pop() if fields else None
+
+
 def default_max_steps(v: BlowupVector) -> int:
     """Default move cap: 10 * (tail length + head magnitude, rounded up)."""
     return 10 * (len(v.tail) + _ceil_value(abs(v.head)))
@@ -223,8 +231,10 @@ def reduce_to_reduced(v: BlowupVector, max_steps: Optional[int] = None) -> Reduc
     """Apply standard Cremona moves until the first reduced vector.
 
     Raises :class:`ReductionLimitError` (with the partial trace attached) if
-    no reduced vector appears within ``max_steps`` moves.
+    no reduced vector appears within ``max_steps`` moves, and
+    :class:`IncompatibleFieldError` if the entries mix two radicands.
     """
+    _radicand([v.head, *v.tail])  # at entry only: moves add entries, so no new radicand
     if sign(v.head) < 0:
         raise ValueError("reduction requires a nonnegative head")
     cap = default_max_steps(v) if max_steps is None else max_steps
@@ -299,15 +309,12 @@ def _scaled(values: list) -> list:
     """
     if not all(isinstance(v, (int, Fraction, QuadNum)) for v in values):
         raise TypeError("the Method-2 decision needs exact values")
-    fields = {v.d for v in values if isinstance(v, QuadNum)}
-    if len(fields) > 1:
-        raise IncompatibleFieldError(f"radicands {sorted(fields)} lie in distinct fields")
+    d = _radicand(values)
     parts = [(v.p, v.q) if isinstance(v, QuadNum) else (v, 0) for v in values]
     den = math.lcm(*[x.denominator for pq in parts for x in pq])
     ints = [[x.numerator * (den // x.denominator) for x in pq] for pq in parts]
-    if not fields:
+    if d is None:
         return [p for p, _ in ints]
-    d = fields.pop()
     return [_Surd(p, q, d) for p, q in ints]
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .classes import real_b_obstructions
 from .cremona import BlowupVector, _method2_flat, _method2_runs, defect, standard_move
@@ -203,7 +202,7 @@ def c_infty(a) -> Fraction:
     return Fraction((m - 1) // 2 + 1)
 
 
-def method2_cb_decide(b: int, a, lam, max_steps: Optional[int] = None) -> bool:
+def method2_cb_decide(b: int, a, lam) -> bool:
     """Reduction-method decision for E(1,a) -> P(lambda, lambda*b).
 
     Reduces ((b+1)L; bL, L, w(a)) and reports whether the first reduced
@@ -222,11 +221,11 @@ def method2_cb_decide(b: int, a, lam, max_steps: Optional[int] = None) -> bool:
     if isinstance(lam, QuadNum):
         # irrational lambda (the exact volume bound) keeps the flat path; see
         # ROADMAP item 1
-        return _method2_flat((b + 1) * lam, [b * lam, lam, *w.flatten()], max_steps)
-    return _method2_runs((b + 1) * lam, [(b * lam, 1), (lam, 1), *w.entries], max_steps)[0]
+        return _method2_flat((b + 1) * lam, [b * lam, lam, *w.flatten()])
+    return _method2_runs((b + 1) * lam, [(b * lam, 1), (lam, 1), *w.entries])[0]
 
 
-def cb_bisect(b: int, a, tol, max_steps: Optional[int] = None) -> tuple[Fraction, Fraction]:
+def cb_bisect(b: int, a, tol) -> tuple[Fraction, Fraction]:
     """Bracket c_b(a) between rationals by bisecting the Method-2 decision.
 
     Returns (lo, hi) with hi - lo <= tol, DoesNotEmbed at lo and Embeds at
@@ -246,14 +245,14 @@ def cb_bisect(b: int, a, tol, max_steps: Optional[int] = None) -> tuple[Fraction
         raise ValueError("volume bound too small for the bisection grid")
     hi = Fraction(max(2, root // scale + 2))
     for _ in range(64):
-        if method2_cb_decide(b, a, hi, max_steps):
+        if method2_cb_decide(b, a, hi):
             break
         hi *= 2
     else:
         raise RuntimeError("no embedding found while expanding the bracket")
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if method2_cb_decide(b, a, mid, max_steps):
+        if method2_cb_decide(b, a, mid):
             hi = mid
         else:
             lo = mid

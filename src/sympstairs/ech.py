@@ -18,22 +18,9 @@ sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["CapacitySequence", "ech_lower_bound", "ech_sequence"]
-
-
-@dataclass(frozen=True)
-class CapacitySequence:
-    a_param: Fraction
-    values: tuple[Fraction, ...]
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, k):
-        return self.values[k]
+__all__ = ["ech_lower_bound", "ech_sequence"]
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -83,7 +70,7 @@ def _reach(p: int, q: int, c: int, lo: int, below: int) -> tuple[int, int]:
     return hi, n
 
 
-def ech_sequence(a, n_terms: int) -> CapacitySequence:
+def ech_sequence(a, n_terms: int) -> tuple[Fraction, ...]:
     """First n_terms capacities of E(1, a), exactly.
 
     Walks the distinct values of the scaled lattice; each is repeated by the
@@ -102,7 +89,7 @@ def ech_sequence(a, n_terms: int) -> CapacitySequence:
         upto = min(upto, n_terms + 1)
         values += [Fraction(v, q)] * (upto - c)
         c = upto
-    return CapacitySequence(a, tuple(values))
+    return tuple(values)
 
 
 def ech_lower_bound(b, a, n_terms: int) -> Fraction:

@@ -18,13 +18,11 @@ import re
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
 Value = Union[Fraction, "QuadNum"]
 
 __all__ = [
     "IncompatibleFieldError",
     "QuadNum",
-    "Rational",
     "Value",
     "bounds",
     "compare_values",

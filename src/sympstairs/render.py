@@ -21,6 +21,7 @@ __all__ = ["PlotSpec", "emit_scan_csv", "emit_svg", "emit_table_csv", "sample_gr
 
 TABLE_HEADER = "a_num,a_den,branch,value_exact,value_float,volume_float,folding_float"
 SCAN_HEADER = "b,a_num,a_den,db_real,db_real_float,ech_lower,ech_lower_float,consistent"
+SVG_WIDTH, SVG_HEIGHT = 800, 500
 
 _OVERLAY_COLORS = {
     "closed-form": "#1f77b4",
@@ -111,7 +112,7 @@ def _overlay_evaluator(name: str, b: Fraction) -> Callable[[Fraction], object]:
     raise ValueError(f"unknown overlay: {name!r}")
 
 
-def emit_svg(spec: PlotSpec, width: int = 800, height: int = 500) -> str:
+def emit_svg(spec: PlotSpec) -> str:
     """Hand-emitted SVG: one polyline per overlay plus breakpoint markers."""
     overlays = spec.overlays or ("volume",)
     integer_b = spec.b.denominator == 1 and spec.b >= 2
@@ -133,14 +134,14 @@ def emit_svg(spec: PlotSpec, width: int = 800, height: int = 500) -> str:
     x0, x1, y0, y1 = x0 - pad_x, x1 + pad_x, y0 - pad_y, y1 + pad_y
 
     def px(x: float) -> float:
-        return (x - x0) / (x1 - x0) * width
+        return (x - x0) / (x1 - x0) * SVG_WIDTH
 
     def py(y: float) -> float:
-        return height - (y - y0) / (y1 - y0) * height
+        return SVG_HEIGHT - (y - y0) / (y1 - y0) * SVG_HEIGHT
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     for name, pts in curves.items():
         color = _OVERLAY_COLORS.get(name.partition(":")[0], "#000000")

@@ -68,17 +68,10 @@ def flat_length(a) -> int:
     return weight_expansion(a).flat_length
 
 
-def weight_inner(m, w) -> Fraction:
+def weight_inner(m, w: WeightExpansion) -> Fraction:
     """Exact inner product of an integer vector with a weight expansion.
 
     The shorter side is padded with zeros, so vectors of any length pair
     with any expansion.
     """
-    if isinstance(w, WeightExpansion):
-        flat = w.flatten()
-    else:
-        flat = [Fraction(x) for x in w]
-    return sum(
-        (Fraction(mi) * wi for mi, wi in zip(m, flat)),
-        Fraction(0),
-    )
+    return sum((Fraction(mi) * wi for mi, wi in zip(m, w.flatten())), Fraction(0))

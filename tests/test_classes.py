@@ -8,23 +8,19 @@ from sympstairs.classes import (
     ExceptionalClass,
     certification_trace,
     certify,
-    check_dio_ball,
     check_dio_polydisc,
-    closed_form_mu_E,
-    closed_form_mu_F,
     enumerate_dio_solutions,
-    error_report,
     gen_E,
     gen_F,
     gen_G,
-    intersection_product,
     obstruction_mu,
     psi_push,
     real_b_obstructions,
 )
 from sympstairs.cremona import is_terminal_exceptional
 from sympstairs.curve import volume_bound
-from sympstairs.numbers import sign
+from sympstairs.numbers import sign, sqrt_rational
+from sympstairs.weights import weight_expansion, weight_inner
 
 
 def brute_force_solutions(d, e, max_len):
@@ -56,13 +52,6 @@ def test_check_dio_polydisc_examples():
     assert check_dio_polydisc(6, 3, (3,) + (2,) * 7)
     assert check_dio_polydisc(10, 5, (4,) * 6 + (1,) * 5)
     assert not check_dio_polydisc(2, 1, (2, 2))
-
-
-def test_check_dio_ball_examples():
-    assert check_dio_ball(0, (-1,))  # the terminal pattern solves the system
-    assert check_dio_ball(1, (1, 1))
-    assert check_dio_ball(2, (1, 1, 1, 1, 1))
-    assert not check_dio_ball(2, (2, 1))
 
 
 # -- psi push --------------------------------------------------------------------
@@ -97,7 +86,9 @@ def test_psi_transport_of_diophantine_system():
     for d, e, m in cases:
         assert check_dio_polydisc(d, e, m)
         v = psi_push(d, e, m)
-        assert check_dio_ball(int(v.head), [int(t) for t in v.tail])
+        # the ball system: sum(t) = 3*head - 1 and sum(t^2) = head^2 + 1
+        assert sum(v.tail) == 3 * v.head - 1
+        assert sum(t * t for t in v.tail) == v.head * v.head + 1
 
 
 # -- families ---------------------------------------------------------------------
@@ -125,19 +116,20 @@ def test_obstruction_examples():
     assert obstruction_mu(gen_G(2), 2, Fraction(25, 4)) == Fraction(5, 4)
 
 
+def mu_E_closed(b, k, a):
+    """mu_b(E_{b+k})(a) for a >= 2b+2k: a/(2b+k) up to 2b+2k+1, then constant."""
+    return min(a, 2 * b + 2 * k + 1) / Fraction(2 * b + k)
+
+
+def mu_F_closed(b, a):
+    """mu_b(F_b)(a) for a >= 2b+3: (ba+1)/(2b(b+1)) up to 2b+4, then constant."""
+    return (b * min(a, 2 * b + 4) + 1) / Fraction(2 * b * (b + 1))
+
+
 def test_closed_forms_match_spot_values():
-    assert closed_form_mu_E(4, 1, 11) == Fraction(11, 9)
-    assert closed_form_mu_F(3, 10) == Fraction(31, 24)
-    assert closed_form_mu_F(2, 8) == Fraction(17, 12)
-
-
-def test_closed_forms_domain_errors():
-    with pytest.raises(ValueError):
-        closed_form_mu_E(2, 3, 11)  # k > floor(sqrt(2b))
-    with pytest.raises(ValueError):
-        closed_form_mu_E(2, 1, 3)  # a below 2b+2k
-    with pytest.raises(ValueError):
-        closed_form_mu_F(2, 5)  # a below 2b+3
+    assert obstruction_mu(gen_E(5), 4, 11) == mu_E_closed(4, 1, 11) == Fraction(11, 9)
+    assert obstruction_mu(gen_F(3), 3, 10) == mu_F_closed(3, 10) == Fraction(31, 24)
+    assert obstruction_mu(gen_F(2), 2, 8) == mu_F_closed(2, 8) == Fraction(17, 12)
 
 
 def test_closed_forms_agree_with_obstruction_mu():
@@ -148,10 +140,10 @@ def test_closed_forms_agree_with_obstruction_mu():
             lo = 2 * b + 2 * k
             for i in range(100):
                 a = Fraction(lo) + Fraction(i, 50)  # sweeps rising and flat branch
-                assert closed_form_mu_E(b, k, a) == obstruction_mu(gen_E(b + k), b, a)
+                assert mu_E_closed(b, k, a) == obstruction_mu(gen_E(b + k), b, a)
         for i in range(100):
             a = Fraction(2 * b + 3) + Fraction(i, 50)
-            assert closed_form_mu_F(b, a) == obstruction_mu(gen_F(b), b, a)
+            assert mu_F_closed(b, a) == obstruction_mu(gen_F(b), b, a)
 
 
 def test_real_b_obstruction_list():
@@ -176,34 +168,38 @@ def test_real_b_obstruction_list():
 # -- error vector -------------------------------------------------------------------
 
 
+def error_vector(c, b, a):
+    """(<eps, w(a)>, <eps, eps>) for eps = m - t*w(a), t = (d+be)/sqrt(2ba), in Q(sqrt(2ba))."""
+    b, a = Fraction(b), Fraction(a)
+    pairing = weight_inner(c.m, weight_expansion(a))
+    t = (c.d + b * c.e) / sqrt_rational(2 * b * a)
+    return pairing - t * a, sum(x * x for x in c.m) - 2 * t * pairing + t * t * a
+
+
 def test_error_report_examples():
-    # E_{b+k} at the step edge lies above the volume
-    rep = error_report(gen_E(2), 2, 5)
-    assert rep.obstructive and sign(rep.eps_inner_w) > 0
-
-    # E_0 at a = 2b: equality with the volume, not obstructive
-    rep = error_report(gen_E(0), 2, 4)
-    assert not rep.obstructive and sign(rep.eps_inner_w) == 0
-
+    # E_{b+k} at the step edge lies above the volume: <eps, w> > 0
+    assert sign(error_vector(gen_E(2), 2, 5)[0]) > 0
+    # E_0 at a = 2b: equality with the volume
+    assert sign(error_vector(gen_E(0), 2, 4)[0]) == 0
     # F_2 at beta_2 = 8 + 1/36: value meets the volume exactly
-    rep = error_report(gen_F(2), 2, Fraction(289, 36))
-    assert not rep.obstructive and sign(rep.eps_inner_w) == 0
+    assert sign(error_vector(gen_F(2), 2, Fraction(289, 36))[0]) == 0
 
 
 def test_error_report_obstructive_equivalence_and_filter():
+    # an obstructive class has h^2 < 2b and |eps|^2 < 1 - h^2/2b, with h = d - be
     classes = [gen_E(n) for n in range(0, 7)] + [gen_F(n) for n in (1, 2, 3)] + [gen_G(2)]
     for b in (2, 3):
         for i in range(1, 40):
             a = Fraction(4 * i + 1, 4)
             vol = volume_bound(b, a)
             for c in classes:
-                rep = error_report(c, b, a)
-                mu = obstruction_mu(c, b, a)
-                assert rep.obstructive == (sign(mu - vol) > 0)
-                if rep.obstructive:
-                    h = rep.h
+                eps_inner_w, eps_norm_sq = error_vector(c, b, a)
+                obstructive = sign(eps_inner_w) > 0
+                assert obstructive == (sign(obstruction_mu(c, b, a) - vol) > 0)
+                if obstructive:
+                    h = c.d - b * c.e
                     assert h * h < 2 * b
-                    assert sign(rep.eps_norm_sq - (1 - h * h / Fraction(2 * b))) < 0
+                    assert sign(eps_norm_sq - (1 - h * h / Fraction(2 * b))) < 0
 
 
 # -- enumeration ---------------------------------------------------------------------
@@ -224,14 +220,12 @@ def test_enumerate_against_brute_force():
             assert got == want, (d, e)
 
 
-def test_enumerate_max_tail_from_target_a():
-    # max_tail defaults to the flat length of the weight expansion of a
-    sols = enumerate_dio_solutions(4, 1, a=Fraction(17, 2))
-    assert sols == [(1,) * 9]  # l(17/2) = 10 >= 9 admits the solution
-    assert enumerate_dio_solutions(4, 1, a=5) == []  # l(5) = 5 < 9 excludes it
-
-
 # -- intersection products -------------------------------------------------------------
+
+
+def intersection_product(c1, c2):
+    """Pairing d1*e2 + d2*e1 - <m1, m2> in the S1, S2, F_i basis."""
+    return c1.d * c2.e + c2.d * c1.e - sum(x * y for x, y in zip(c1.m, c2.m))
 
 
 def test_intersection_examples():

@@ -138,11 +138,10 @@ def test_reduce_accepts_polydisc_vectors(capsys):
     assert out.splitlines()[-1] == "steps 5"
 
 
-def test_reduce_respects_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("SYMPSTAIRS_MAX_STEPS", "1")
-    code, _, err = run(capsys, "reduce", "(2;1,1,1,1,1)")
-    assert code == 1
-    assert "no reduced vector within 1" in err
+def test_reduce_rejects_mixed_radicands(capsys):
+    code, out, err = run(capsys, "reduce", "(10;3,2,1,0+1/10*sqrt(2),1/10,0+1/100*sqrt(3))")
+    assert (code, out) == (1, "")
+    assert "distinct fields" in err
 
 
 def test_classes_listing(capsys):
@@ -152,6 +151,21 @@ def test_classes_listing(capsys):
     assert "1,0:1" in lines  # E_0
     assert "6,3:3 2 2 2 2 2 2 2" in lines  # F_2
     assert "10,5:4 4 4 4 4 4 1 1 1 1 1" in lines  # G_2
+
+
+SCAN_PIN = """\
+b,a_num,a_den,db_real,db_real_float,ech_lower,ech_lower_float,consistent
+2,4,1,1,1,1,1,yes
+2,5,1,5/4,1.25,5/4,1.25,yes
+2,6,1,5/4,1.25,5/4,1.25,yes
+2,7,1,7/5,1.4,7/5,1.4,yes
+2,8,1,17/12,1.41666666666667,17/12,1.41666666666667,yes
+5/2,4,1,1,1,1,1,yes
+5/2,5,1,10/9,1.11111111111111,1,1,yes
+5/2,6,1,10/9,1.11111111111111,6/5,1.2,NO
+5/2,7,1,14/11,1.27272727272727,6/5,1.2,yes
+5/2,8,1,14/11,1.27272727272727,4/3,1.33333333333333,NO
+"""
 
 
 def test_scan_consistency_column(capsys):
@@ -164,6 +178,7 @@ def test_scan_consistency_column(capsys):
     assert all(line.endswith(",yes") for line in lines[1:] if line.startswith("2,"))
     # rational b rows are exploratory output; both verdicts may appear
     assert all(line.count(",") == 7 for line in lines[1:])
+    assert out == SCAN_PIN  # the whole output, byte for byte
 
 
 @pytest.mark.parametrize(

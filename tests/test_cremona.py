@@ -356,6 +356,15 @@ def test_kernel_rejects_mixed_radicands(x, y, tail):
         method2_decide(abs(x) * 10, [x, *tail, y])
 
 
+def test_trace_rejects_mixed_radicands():
+    # no comparison or defect here meets both fields, so only the entry check sees them
+    tail = (3, 2, 1, sqrt_rational(2) / 10, Fraction(1, 10), sqrt_rational(3) / 100)
+    with pytest.raises(IncompatibleFieldError):
+        reduce_to_reduced(BlowupVector(10, tail))
+    with pytest.raises(IncompatibleFieldError):
+        method2_decide(10, list(tail))
+
+
 def test_kernel_rejects_floats_and_negative_heads():
     with pytest.raises(TypeError):
         method2_decide(3, [1.5, 1])

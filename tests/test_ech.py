@@ -31,15 +31,15 @@ def brute_force_lower_bound(b, a, n_terms: int) -> Fraction:
 
 
 def test_displayed_sequence_for_the_round_ball():
-    assert ech_sequence(1, 10).values == (1, 1, 2, 2, 2, 3, 3, 3, 3, 4)
+    assert ech_sequence(1, 10) == (1, 1, 2, 2, 2, 3, 3, 3, 3, 4)
 
 
 def test_sequence_a2():
-    assert ech_sequence(2, 6).values == (1, 2, 2, 3, 3, 4)
+    assert ech_sequence(2, 6) == (1, 2, 2, 3, 3, 4)
 
 
 def test_single_term():
-    assert ech_sequence(1, 1).values == (1,)
+    assert ech_sequence(1, 1) == (1,)
 
 
 def test_sequence_matches_brute_force():
@@ -49,11 +49,11 @@ def test_sequence_matches_brute_force():
         if a < 1:
             a = 1 / a
         n = rng.randint(50, 1000)
-        assert list(ech_sequence(a, n).values) == brute_force_sequence(a, n)
+        assert list(ech_sequence(a, n)) == brute_force_sequence(a, n)
 
 
 def test_sequence_nondecreasing_and_validated():
-    seq = ech_sequence(Fraction(25, 9), 500).values
+    seq = ech_sequence(Fraction(25, 9), 500)
     assert all(x <= y for x, y in zip(seq, seq[1:]))
     with pytest.raises(ValueError):
         ech_sequence(Fraction(1, 2), 5)

@@ -23,13 +23,11 @@ from .classes import (
 from .cremona import (
     BlowupVector,
     ReductionLimitError,
-    ReductionStep,
     ReductionTrace,
     cremona_transform,
     default_max_steps,
     defect,
     format_vector,
-    is_reduced,
     is_terminal_exceptional,
     method2_decide,
     parse_vector,

@@ -27,15 +27,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
-def _above(bound, parse, what: str):
-    """An argparse type: parse the text, and reject it unless the value exceeds bound."""
+def _above(bound, parse, what: str, most=None):
+    """An argparse type: parse the text, and reject it unless bound < value
+    (and value <= most, if most is given)."""
 
     def check(text: str):
         try:
             value = parse(text)
         except (ValueError, ZeroDivisionError):
             value = bound
-        if value <= bound:
+        if value <= bound or (most is not None and value > most):
             raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
         return value
 
@@ -43,10 +44,10 @@ def _above(bound, parse, what: str):
 
 
 _positive_int = _above(0, int, "a positive integer")
-_nonnegative_int = _above(-1, int, "a nonnegative integer")
 _integer_b = _above(1, int, "an integer b >= 2")
 _sample_count = _above(1, int, "a sample count (at least 2)")
 _positive_rational = _above(0, Fraction, "a positive rational")
+_class_index = _above(-1, int, "a nonnegative integer up to 500", most=500)
 
 
 def _rational_range(text: str) -> tuple[Fraction, Fraction]:
@@ -99,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--b", type=_integer_b, default=2,
                    help="b for the edges, method2, ech and alarge suites")
-    p.add_argument("--max-n", type=_nonnegative_int, default=30)
+    p.add_argument("--max-n", type=_class_index, default=30)
     p.add_argument("--n", type=_positive_int, default=2000, help="ECH terms for the ech suite")
     p.add_argument("--trace", action="store_true")
 
@@ -111,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("classes", help="list the certified class families")
-    p.add_argument("--max-n", type=_nonnegative_int, default=10)
-    p.add_argument("--max-b", type=_nonnegative_int, default=5)
+    p.add_argument("--max-n", type=_class_index, default=10)
+    p.add_argument("--max-b", type=_class_index, default=5)
 
     p = sub.add_parser("reduce", help="reduce a vector and print the trace")
     p.add_argument("vector", help='e.g. "(2;1,1,1,1,1)" or "(6,3;3,2,2,2,2,2,2,2)"')

@@ -5,16 +5,16 @@ embedding problem or (d; m1,...,mn) for a class on the blown-up plane; both
 are the same data.  A class (d,e;m) on the blown-up polydisc enters through
 ``psi_push``.  Tails are logically infinite with zeros: the defect and the
 Cremona transform pad to three entries as needed, and trailing zeros are
-trimmed only on output.  Entries may be Fractions or QuadNums of one shared
-field; transforms never divide, so exactness is free.
+trimmed only on output.  Entries may be ints, Fractions or QuadNums of one
+shared field; transforms never divide, so exactness is free.
 
 Reduction applies standard Cremona moves (sort descending, apply the
 transform, sort again) until the first reduced vector appears.  It exists
 in two forms that make the same moves:
 
-* Traces (``reduce_to_reduced``) hold flat ``BlowupVector`` tails.  Each
-  step records its defect and the permutation that re-sorted the tail, so a
-  trace can be replayed and serialized from its initial vector.
+* Traces (``reduce_to_reduced``) hold flat ``BlowupVector`` tails and
+  record each move's defect; the vectors are re-derived from the initial
+  one, so a trace can be replayed and serialized.
 * Decisions (``method2_decide``) build no trace.  The vector is scaled to
   one common denominator, so each entry is an int (rational entries) or an
   integer pair p + q*sqrt(d) of one field, and the tail is held as
@@ -28,7 +28,7 @@ All values are immutable; independent reductions are safe to run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, repeat
 from typing import Optional, Sequence
@@ -47,13 +47,11 @@ from .numbers import (
 __all__ = [
     "BlowupVector",
     "ReductionLimitError",
-    "ReductionStep",
     "ReductionTrace",
     "cremona_transform",
     "default_max_steps",
     "defect",
     "format_vector",
-    "is_reduced",
     "is_terminal_exceptional",
     "method2_decide",
     "parse_vector",
@@ -63,10 +61,6 @@ __all__ = [
 ]
 
 
-def _coerce(x) -> Value:
-    return Fraction(x) if isinstance(x, int) else x
-
-
 @dataclass(frozen=True)
 class BlowupVector:
     """Head plus tail, (head; t1, ..., tn)."""
@@ -74,21 +68,15 @@ class BlowupVector:
     head: Value
     tail: tuple[Value, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "head", _coerce(self.head))
-        # tuple(list), not tuple(generator): a tuple built from a generator is
-        # resized as it grows, and CPython then keeps it on a per-size free
-        # list, so hot paths would leave thousands of tuples behind
-        object.__setattr__(self, "tail", tuple([_coerce(t) for t in self.tail]))
-
     def padded_tail(self, n: int = 3) -> tuple[Value, ...]:
         if len(self.tail) >= n:
             return self.tail
-        return self.tail + (Fraction(0),) * (n - len(self.tail))
+        return self.tail + (0,) * (n - len(self.tail))
 
     def sorted(self) -> "BlowupVector":
-        values, _ = _sort_desc(self.tail)
-        return BlowupVector(self.head, values)
+        # tuple(list), not tuple(generator): tuples grown from a generator are resized,
+        # and CPython parks them on per-size free lists, thousands of them on hot paths
+        return BlowupVector(self.head, tuple(sorted(self.tail, reverse=True)))
 
     def trimmed(self) -> "BlowupVector":
         tail = list(self.tail)
@@ -98,12 +86,6 @@ class BlowupVector:
 
     def __str__(self):
         return format_vector(self)
-
-
-def _sort_desc(values: Sequence[Value]) -> tuple[tuple[Value, ...], tuple[int, ...]]:
-    """Stable descending sort; returns (sorted values, permutation of indices)."""
-    order = tuple(sorted(range(len(values)), key=values.__getitem__, reverse=True))
-    return tuple([values[i] for i in order]), order
 
 
 def defect(v: BlowupVector) -> Value:
@@ -127,17 +109,8 @@ def standard_move(v: BlowupVector) -> BlowupVector:
     return cremona_transform(v.sorted()).sorted()
 
 
-def is_reduced(v: BlowupVector) -> bool:
-    """True iff the tail is non-increasing and the defect is >= 0."""
-    t = v.tail
-    for x, y in zip(t, t[1:]):
-        if sign(x - y) < 0:
-            return False
-    return sign(defect(v)) >= 0
-
-
 def is_terminal_exceptional(v: BlowupVector) -> bool:
-    """True iff the vector is (0; -1, 0, ..., 0) up to permutation."""
+    """True iff the vector is (0; -1, 0, ..., 0) with its tail in any order."""
     if sign(v.head) != 0:
         return False
     minus = 0
@@ -150,41 +123,32 @@ def is_terminal_exceptional(v: BlowupVector) -> bool:
 
 
 @dataclass(frozen=True)
-class ReductionStep:
-    """One standard move: the defect used and the permutation that restored
-    descending order afterwards."""
-
-    defect: Value
-    permutation: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ReductionTrace:
+    """A reduction from ``initial`` to ``final``: the defect of each move."""
+
     initial: BlowupVector
-    steps: tuple[ReductionStep, ...]
+    defects: tuple[Value, ...]
     final: BlowupVector
-    exhausted: bool = field(default=False)
 
     @property
     def step_count(self) -> int:
-        return len(self.steps)
+        return len(self.defects)
 
     def _walk(self):
         """The sorted initial vector, then the vector after each recorded move."""
         v = self.initial
         current = BlowupVector(v.head, v.padded_tail()).sorted()
         yield current
-        for step in self.steps:
-            moved = cremona_transform(current)
-            current = BlowupVector(moved.head, tuple([moved.tail[i] for i in step.permutation]))
+        for _ in self.defects:
+            current = cremona_transform(current).sorted()
             yield current
 
     def replay(self) -> BlowupVector:
-        """Re-run the recorded defects and permutations from the initial vector."""
+        """Re-run the moves from the initial vector, checking each recorded defect."""
         vectors = self._walk()
         current = next(vectors)
-        for step, moved in zip(self.steps, vectors):
-            if sign(moved.head - current.head - step.defect) != 0:
+        for delta, moved in zip(self.defects, vectors):
+            if sign(moved.head - current.head - delta) != 0:
                 raise ValueError("trace defect does not match replayed vector")
             current = moved
         return current
@@ -193,8 +157,8 @@ class ReductionTrace:
         vectors = self._walk()
         next(vectors)
         return [f"init {format_vector(self.initial.trimmed())}"] + [
-            f"{format_exact(step.defect)} {format_vector(v.trimmed())}"
-            for step, v in zip(self.steps, vectors)
+            f"{format_exact(delta)} {format_vector(v.trimmed())}"
+            for delta, v in zip(self.defects, vectors)
         ]
 
 
@@ -210,8 +174,7 @@ class ReductionLimitError(RuntimeError):
 
 
 def _ceil_value(x: Value) -> int:
-    hi = bounds(x)[1]
-    return math.ceil(hi)
+    return math.ceil(bounds(x)[1])
 
 
 def _radicand(values: Sequence) -> Optional[int]:
@@ -239,18 +202,13 @@ def reduce_to_reduced(v: BlowupVector, max_steps: Optional[int] = None) -> Reduc
         raise ValueError("reduction requires a nonnegative head")
     cap = default_max_steps(v) if max_steps is None else max_steps
     work = BlowupVector(v.head, v.padded_tail()).sorted()
-    steps: list[ReductionStep] = []
-    while not is_reduced(work):
-        if len(steps) >= cap:
-            raise ReductionLimitError(
-                ReductionTrace(v, tuple(steps), work, exhausted=True)
-            )
-        delta = defect(work)
-        moved = cremona_transform(work)
-        tail, perm = _sort_desc(moved.tail)
-        steps.append(ReductionStep(defect=delta, permutation=perm))
-        work = BlowupVector(moved.head, tail)
-    return ReductionTrace(v, tuple(steps), work)
+    defects: list[Value] = []
+    while sign(delta := defect(work)) < 0:  # work is sorted, so this is "not reduced"
+        if len(defects) >= cap:
+            raise ReductionLimitError(ReductionTrace(v, tuple(defects), work))
+        defects.append(delta)
+        work = cremona_transform(work).sorted()
+    return ReductionTrace(v, tuple(defects), work)
 
 
 def method2_decide(mu, a_list, max_steps: Optional[int] = None) -> bool:

@@ -43,12 +43,12 @@ def test_criterion_01_weight_identities():
 
 def test_criterion_02_class_certification():
     t0 = time.monotonic()
-    ok = _passes(checks.classes(max_n=30))  # E, F <= 30 with move counts; G <= 20
-    families = [gen_E(n) for n in range(0, 31)] + [gen_F(n) for n in range(1, 31)]
+    ok = _passes(checks.classes(max_n=100))  # E, F <= 100 with move counts; G <= 20
+    families = [gen_E(n) for n in range(0, 101)] + [gen_F(n) for n in range(1, 101)]
     for c in families + [gen_G(b) for b in range(1, 21)]:
         ok &= c.certified and check_dio_polydisc(c.d, c.e, c.m)
     ok &= (time.monotonic() - t0) < 30.0
-    _report("criterion-02 certification (E,F <= 30; G <= 20; move counts)", ok, t0)
+    _report("criterion-02 certification (E,F <= 100; G <= 20; move counts)", ok, t0)
 
 
 def test_criterion_03_staircase_spot_values():

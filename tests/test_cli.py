@@ -1,5 +1,6 @@
 """CLI behaviour: outputs, exit codes, determinism, golden regressions."""
 
+import hashlib
 import os
 from fractions import Fraction
 
@@ -107,6 +108,9 @@ def test_ech_term_count_must_be_positive(argv, capsys):
         (["verify", "classes", "--max-n", "-1"], "not a nonnegative integer"),
         (["classes", "--max-n", "-1"], "not a nonnegative integer"),
         (["classes", "--max-b", "-1"], "not a nonnegative integer"),
+        (["classes", "--max-n", "501"], "not a nonnegative integer up to 500"),
+        (["classes", "--max-b", "501"], "not a nonnegative integer up to 500"),
+        (["verify", "classes", "--max-n", "501"], "not a nonnegative integer up to 500"),
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, message, capsys):
@@ -136,6 +140,25 @@ def test_reduce_accepts_polydisc_vectors(capsys):
     code, out, _ = run(capsys, "reduce", "(6,3;3,2,2,2,2,2,2,2)")
     assert code == 0
     assert out.splitlines()[-1] == "steps 5"
+
+
+@pytest.mark.parametrize(
+    "vector,steps,digest",
+    [
+        # the Method-2 vector of b = 2, a = 8 at lambda = 17/12
+        ("(17/4;17/6,17/12,1,1,1,1,1,1,1,1)", 8,
+         "00e9966f8059ebac1fe778d6976552db6cd56055611e68114696a198ea9fd800"),
+        # a Q(sqrt(3)) vector: the defects are surds
+        ("(0+3*sqrt(3);0+2*sqrt(3),0+1*sqrt(3),1,1,1,1,1,1,1,1,1/2,1/2)", 4,
+         "e114867dea5d7a5e9c12ac7e7e31fe2cc37b53099585941ee5888f6c16de4883"),
+    ],
+    ids=["rational", "sqrt3"],
+)
+def test_reduce_output_is_pinned_for_non_integer_vectors(capsys, vector, steps, digest):
+    code, out, _ = run(capsys, "reduce", vector)
+    assert code == 0
+    assert out.splitlines()[-1] == f"steps {steps}"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest  # the whole output, byte for byte
 
 
 def test_reduce_rejects_mixed_radicands(capsys):

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sympstairs.classes import certification_trace, gen_F, gen_G
 from sympstairs.cremona import (
     BlowupVector,
     ReductionLimitError,
+    ReductionTrace,
     _method2_runs,
     cremona_transform,
     default_max_steps,
     defect,
     format_vector,
-    is_reduced,
     is_terminal_exceptional,
     method2_decide,
     parse_vector,
@@ -108,19 +109,18 @@ def test_g2_ball_vector_reduces_to_terminal():
     assert is_terminal_exceptional(trace.final)
 
 
-# -- is_reduced ---------------------------------------------------------------
+# -- reduce_to_reduced ----------------------------------------------------------
 
 
-def test_is_reduced_examples():
-    assert is_reduced(vec(3, 1, 1, 1))
-    assert not is_reduced(vec(2, 1, 1, 1, 1, 1))
+def test_reduced_vectors_take_no_moves():
+    assert reduce_to_reduced(vec(3, 1, 1, 1)).step_count == 0
+    assert reduce_to_reduced(vec(2, 1, 1, 1, 1, 1)).step_count == 2
     lam = Fraction(5, 4)  # b=2, k=0: delta = 3 - 2*lam = 1/2
     tail = (lam - 1,) * 5
-    assert is_reduced(BlowupVector(lam, tail))
-    assert not is_reduced(vec(5, 1, 2, 1))  # unsorted tail
-
-
-# -- reduce_to_reduced ----------------------------------------------------------
+    assert reduce_to_reduced(BlowupVector(lam, tail)).step_count == 0
+    # an unsorted tail is sorted first: (5; 2, 1, 1) has defect 1
+    trace = reduce_to_reduced(vec(5, 1, 2, 1))
+    assert trace.step_count == 0 and trace.final == vec(5, 2, 1, 1)
 
 
 def test_reduce_f1_image_two_steps():
@@ -142,7 +142,7 @@ def test_reduce_plateau_vector_in_b_moves():
     assert trace.step_count == b
     final = trace.final.trimmed()
     assert final.head == 1 and final.tail == (Fraction(1),)
-    assert all(d == -1 for d in (s.defect for s in trace.steps))
+    assert trace.defects == (-1,) * b
 
 
 def test_trace_replay_reproduces_final():
@@ -157,11 +157,31 @@ def test_trace_replay_reproduces_final():
         assert trace.replay() == trace.final
 
 
+def test_replay_rejects_a_changed_defect():
+    trace = reduce_to_reduced(vec(12, 8, 3, 3, 3, 3, 3, 3, 3, 3, 3))
+    assert trace.replay() == trace.final
+    for i in range(trace.step_count):
+        defects = list(trace.defects)
+        defects[i] += Fraction(1, 7)
+        forged = ReductionTrace(trace.initial, tuple(defects), trace.final)
+        with pytest.raises(ValueError, match="trace defect does not match"):
+            forged.replay()
+
+
+@pytest.mark.parametrize("cls,moves", [(gen_G(3), 9), (gen_F(5), 11)], ids=["G3", "F5"])
+def test_integer_classes_certify_in_integers(cls, moves):
+    trace = certification_trace(cls)
+    assert trace.step_count == moves
+    assert is_terminal_exceptional(trace.final)
+    final = trace.final
+    assert all(type(x) is int for x in (*trace.defects, final.head, *final.tail))
+    assert trace.replay() == final
+
+
 def test_max_steps_exhaustion_reports_partial_trace():
     with pytest.raises(ReductionLimitError) as err:
         reduce_to_reduced(vec(2, 1, 1, 1, 1, 1), max_steps=1)
     assert err.value.trace.step_count == 1
-    assert err.value.trace.exhausted
     assert str(err.value) == "no reduced vector within 1 standard Cremona moves (tail length 5)"
 
 
@@ -225,7 +245,7 @@ def test_method2_agrees_with_hand_schedule():
                 seen.append(defect(v))
                 v = standard_move(v)
             assert seen[0] == -1
-            assert is_reduced(v)
+            assert v == v.sorted() and sign(defect(v)) >= 0
             assert all(t >= 0 for t in v.tail)
             assert method2_decide(head, tail) is True
 
@@ -239,7 +259,7 @@ def test_method2_agrees_with_plateau_schedule():
         for _ in range(b):
             assert defect(cur) == -1
             cur = standard_move(cur)
-        assert is_reduced(cur)
+        assert cur == cur.sorted() and sign(defect(cur)) >= 0
         assert all(t >= 0 for t in cur.tail)
         assert cur.trimmed().tail == (Fraction(1),)
         assert method2_decide(b + 1, [b] + [1] * (2 * b + 1)) is True

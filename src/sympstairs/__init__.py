@@ -63,6 +63,6 @@ from .numbers import (
     sqrt_rational,
     to_float,
 )
-from .weights import WeightExpansion, flat_length, weight_expansion, weight_inner
+from .weights import WeightExpansion, weight_expansion
 
 __version__ = "0.1.0"

@@ -48,21 +48,22 @@ class Record(NamedTuple):
 
 
 def weights(seed: int = 20260810, draws: int = 200) -> Iterator[Record]:
-    """w(25/9) entry by entry; sum(w^2) = a and sum(w) = a + 1 - 1/q at random a = p/q."""
+    """w(25/9) entry by entry; sum(w^2) = a and sum(w) = a + 1 - 1/q at random
+    a = p/q, as sum(x^2) = pq and sum(x) = p + q - 1 on the integers x = q*w."""
     w = weight_expansion(Fraction(25, 9))
     yield Record(
         "expansion(25/9)",
         "(1,2),(7/9,1),(2/9,3),(1/9,2)",
-        ",".join(f"({format_exact(x)},{m})" for x, m in w.entries),
+        ",".join(f"({format_exact(Fraction(x, 9))},{m})" for x, m in w.entries),
     )
     rng = random.Random(seed)
     bad = 0
     for _ in range(draws):
         q = rng.randint(1, 10**4)
-        p = rng.randint(q, 100 * q)
-        a = Fraction(p, q)
-        w = weight_expansion(a)
-        if w.square_sum() != a or w.weight_sum() != a + 1 - Fraction(1, a.denominator):
+        a = Fraction(rng.randint(q, 100 * q), q)
+        p, q = a.numerator, a.denominator
+        runs = weight_expansion(a).entries
+        if sum(x * x * m for x, m in runs) != p * q or sum(x * m for x, m in runs) != p + q - 1:
             bad += 1
     yield Record(f"identities({draws} random a)", 0, bad)
 
@@ -171,18 +172,16 @@ def alarge(b: int = 2, samples=None, max_e: int = 3, d_slack=None) -> Iterator[R
         samples = [2 * b + 2 * root + 2 + Fraction(j, 2) for j in range(5)]
     if d_slack is None:
         d_slack = root + 1
-    # a = p/q enters as (p*q, q*w(a)), whose weights are integers
-    flats = []
-    for a in map(Fraction, samples):
-        q = a.denominator
-        flats.append((a.numerator * q, [int(q * w) for w in weight_expansion(a).flatten()]))
+    # a = p/q enters as p*q and w(a), whose pairing q*<m, w(a)> is an integer
+    expansions = [(a.numerator * a.denominator, weight_expansion(a))
+                  for a in map(Fraction, samples)]
     bad = 0
     for e in range(0, max_e + 1):
         for d in range(0, b * e + d_slack + 1):
             weight_sq = (d + b * e) ** 2
             for m in enumerate_dio_solutions(d, e):
-                for pq, flat in flats:
-                    dot = sum(mi * wi for mi, wi in zip(m, flat))  # q * <m, w(a)>
+                for pq, w in expansions:
+                    dot = w.pair(m)
                     # mu_b(d,e;m)(a) = dot/(q(d+be)) > sqrt(a/2b)  iff  2b*dot^2 > p*q*(d+be)^2
                     if 2 * b * dot * dot > pq * weight_sq:
                         bad += 1

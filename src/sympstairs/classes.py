@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cremona import ReductionTrace, is_terminal_exceptional, psi_push, reduce_to_reduced
-from .weights import weight_expansion, weight_inner
+from .weights import weight_expansion
 
 __all__ = [
     "ExceptionalClass",
@@ -111,7 +111,7 @@ def gen_G(b: int) -> ExceptionalClass:
 
 
 def obstruction_mu(c: ExceptionalClass, b, a) -> Fraction:
-    """mu_b(d,e;m)(a) = <m, w(a)> / (d + b*e), exactly.
+    """mu_b(d,e;m)(a) = <m, w(a)> / (d + b*e) = q<m, w(a)> / (q(d + b*e)), a = p/q.
 
     Rational b is allowed: the class itself is b-independent, only the
     weight d + b*e changes.
@@ -119,7 +119,7 @@ def obstruction_mu(c: ExceptionalClass, b, a) -> Fraction:
     b, a = Fraction(b), Fraction(a)
     if a < 1 or b < 1:
         raise ValueError("needs a >= 1 and b >= 1")
-    return weight_inner(c.m, weight_expansion(a)) / (c.d + b * c.e)
+    return weight_expansion(a).pair(c.m) / (a.denominator * (c.d + b * c.e))
 
 
 def real_b_obstructions(b, a) -> list[tuple[str, Fraction]]:

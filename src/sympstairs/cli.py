@@ -20,42 +20,39 @@ from .numbers import format_exact, parse_exact, to_float
 from .render import PlotSpec, emit_scan_csv, emit_svg, emit_table_csv
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-
-
-def _above(bound, parse, what: str, most=None):
-    """An argparse type: parse the text, and reject it unless bound < value
-    (and value <= most, if most is given)."""
+def _checked(parse, ok, what: str):
+    """An argparse type: parse the text, and reject it unless ok(value)."""
 
     def check(text: str):
         try:
             value = parse(text)
         except (ValueError, ZeroDivisionError):
-            value = bound
-        if value <= bound or (most is not None and value > most):
+            value = None
+        if value is None or not ok(value):
             raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
         return value
 
     return check
 
 
+def _above(bound, parse, what: str, most=None):
+    """An argparse type for bound < value (and value <= most, if most is given)."""
+    return _checked(parse, lambda v: bound < v and (most is None or v <= most), what)
+
+
+_rational = _checked(Fraction, lambda x: True, "a rational")
 _positive_int = _above(0, int, "a positive integer")
+_ech_terms = _above(0, int, "a positive integer up to 10^9", most=10**9)
 _integer_b = _above(1, int, "an integer b >= 2")
-_sample_count = _above(1, int, "a sample count (at least 2)")
+_sample_count = _above(1, int, "a sample count from 2 to 10000", most=10**4)
 _positive_rational = _above(0, Fraction, "a positive rational")
 _class_index = _above(-1, int, "a nonnegative integer up to 500", most=500)
-
-
-def _rational_range(text: str) -> tuple[Fraction, Fraction]:
-    try:
-        lo, hi = text.split(":")
-        return Fraction(lo), Fraction(hi)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a range lo:hi: {text!r}") from exc
+_rational_range = _checked(lambda text: tuple(map(Fraction, text.split(":"))),
+                           lambda r: len(r) == 2 and 1 <= r[0] < r[1],
+                           "a range lo:hi with 1 <= lo < hi")
+# a comma list of rationals b >= 2, the domain of db_real
+_b_list = _checked(lambda text: [Fraction(s) for s in text.split(",") if s],
+                   lambda bs: bs and min(bs) >= 2, "a comma list of rationals b >= 2")
 
 
 def _write_out(path: str | None, text: str):
@@ -76,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_rational, required=True)
     p.add_argument("--method", choices=["closed", "bisect", "ech", "decide"], default="closed")
     p.add_argument("--tol", type=_positive_rational, default=Fraction(1, 10**4))
-    p.add_argument("--n", type=_positive_int, default=10**4, help="ECH terms for --method ech")
+    p.add_argument("--n", type=_ech_terms, default=10**4, help="ECH terms for --method ech")
     p.add_argument("--lambda", dest="lam", default=None,
                    help="exact value to test with --method decide, e.g. 17/12 or sqrt(2)")
 
@@ -101,14 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=_integer_b, default=2,
                    help="b for the edges, method2, ech and alarge suites")
     p.add_argument("--max-n", type=_class_index, default=30)
-    p.add_argument("--n", type=_positive_int, default=2000, help="ECH terms for the ech suite")
+    p.add_argument("--n", type=_ech_terms, default=2000, help="ECH terms for the ech suite")
     p.add_argument("--trace", action="store_true")
 
     p = sub.add_parser("scan", help="conjecture scan over rational b")
-    p.add_argument("--b", required=True, help="comma-separated rationals, e.g. 2,5/2,3")
+    p.add_argument("--b", type=_b_list, required=True,
+                   help="comma-separated rationals >= 2, e.g. 2,5/2,3")
     p.add_argument("--a", type=_rational_range, required=True, metavar="LO:HI")
     p.add_argument("--n", type=_sample_count, default=17)
-    p.add_argument("--ech-n", type=_positive_int, default=2000)
+    p.add_argument("--ech-n", type=_ech_terms, default=2000)
     p.add_argument("--out")
 
     p = sub.add_parser("classes", help="list the certified class families")
@@ -156,9 +154,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    b_list = [Fraction(s) for s in args.b.split(",") if s]
     lo, hi = args.a
-    _write_out(args.out, emit_scan_csv(b_list, lo, hi, args.n, args.ech_n))
+    _write_out(args.out, emit_scan_csv(args.b, lo, hi, args.n, args.ech_n))
     return 0
 
 

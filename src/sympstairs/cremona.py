@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby, repeat
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .numbers import (
@@ -222,8 +222,9 @@ def method2_decide(mu, a_list, max_steps: Optional[int] = None) -> bool:
     return _method2_runs(mu, [(a, len(list(g))) for a, g in groupby(a_list)], max_steps)[0]
 
 
-def _method2_flat(mu, tail: Sequence, max_steps: Optional[int] = None) -> bool:
-    """The same decision by a traced reduction of the flat vector."""
+def _method2_flat(mu, runs: Sequence[tuple], max_steps: Optional[int] = None) -> bool:
+    """The same decision on the same runs, by a traced reduction of the flat vector."""
+    tail = [v for v, mult in runs for _ in range(mult)]
     if sign(mu) < 0:
         raise ValueError("head must be nonnegative")
     if sign(mu * mu - sum((a * a for a in tail), Fraction(0))) < 0:
@@ -319,8 +320,7 @@ def _method2_runs(head, runs: Sequence[tuple], max_steps: Optional[int] = None) 
             least = tail[-1][0] if tail else top[2]
             return not (h < zero or least < zero), moves
         if moves >= cap:
-            flat = chain.from_iterable(repeat(v, mult) for v, mult in runs)
-            _method2_flat(head, list(flat), max_steps)
+            _method2_flat(head, runs, max_steps)
             raise AssertionError("the run-length and flat reductions disagree")
         moves += 1
         h = h + delta

@@ -207,8 +207,9 @@ def method2_cb_decide(b: int, a, lam) -> bool:
 
     Reduces ((b+1)L; bL, L, w(a)) and reports whether the first reduced
     vector is nonnegative.  lam may be rational or a QuadNum (e.g. the exact
-    volume bound, where the square of the vector vanishes).  The weights
-    enter as the runs of the expansion, so a decision costs time in the
+    volume bound, where the square of the vector vanishes).  For a = p/q the
+    vector is scaled by q, which keeps every sign and order, so the weights
+    enter as the integer runs of q*w(a).  A decision costs time in the
     continued-fraction length of a, not in its flat weight count.
     """
     _check_b(b)
@@ -217,12 +218,13 @@ def method2_cb_decide(b: int, a, lam) -> bool:
         raise ValueError(f"needs a >= 1, got {a}")
     if sign(lam) <= 0:
         raise ValueError("lambda must be positive")
-    w = weight_expansion(a)
+    lam = lam * a.denominator
+    runs = [(b * lam, 1), (lam, 1), *weight_expansion(a).entries]
     if isinstance(lam, QuadNum):
         # irrational lambda (the exact volume bound) keeps the flat path; see
         # ROADMAP item 1
-        return _method2_flat((b + 1) * lam, [b * lam, lam, *w.flatten()])
-    return _method2_runs((b + 1) * lam, [(b * lam, 1), (lam, 1), *w.entries])[0]
+        return _method2_flat((b + 1) * lam, runs)
+    return _method2_runs((b + 1) * lam, runs)[0]
 
 
 def cb_bisect(b: int, a, tol) -> tuple[Fraction, Fraction]:
@@ -264,12 +266,15 @@ def equivalence_chain(b: int, a, lam) -> bool:
 
     Applies b-1 standard Cremona moves to (2bL; (2b-1)L, L^(2b-1), w(a)),
     verifying each defect equals -L, and compares the result with
-    ((b+1)L; bL, L, w(a)) up to ordering.
+    ((b+1)L; bL, L, w(a)) up to ordering.  Both vectors are scaled by q,
+    a = p/q, so the weights are the integers q*w(a) and L is q*lambda.
     """
     _check_b(b)
     if sign(lam - 1) < 0:
         raise ValueError("lambda must be >= 1")
-    w = weight_expansion(a).flatten()
+    expansion = weight_expansion(a)
+    lam = lam * expansion.source.denominator
+    w = [x for x, mult in expansion.entries for _ in range(mult)]
     tb = 2 * b
     current = BlowupVector(tb * lam, ((tb - 1) * lam,) + (lam,) * (tb - 1) + tuple(w))
     target = BlowupVector((b + 1) * lam, (b * lam, lam, *w))

@@ -1,77 +1,54 @@
-"""Weight expansions of rational numbers a >= 1.
+"""Weight expansions of rational numbers a >= 1, in integers.
 
-The weight expansion of a rational a >= 1 is the finite decreasing sequence
-(1^l0, w1^l1, ..., wN^lN) with w1 = a - l0 < 1, w2 = 1 - l1*w1 < w1, and so
-on; the multiplicities (l0, l1, ..., lN) are the continued-fraction entries
-of a.  Both the run-length and the flattened view are exposed: inner
-products against integer vectors need flat indexing, while the closed-form
-case analysis of the capacity function works with run lengths.
+The weight expansion of a = p/q >= 1 (lowest terms) is the finite decreasing
+sequence (1^l0, w1^l1, ..., wN^lN) with w1 = a - l0 < 1, w2 = 1 - l1*w1 < w1,
+and so on; the multiplicities (l0, l1, ..., lN) are the continued-fraction
+entries of a.  Scaled by q, the weights are the remainders of Euclid's
+algorithm on (p, q) and the multiplicities its quotients, so the expansion is
+kept as integer runs ((q*w, multiplicity), ...).  Every pairing with an
+integer vector m is then an integer, q*<m, w(a)>.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from typing import Sequence
 
-__all__ = ["WeightExpansion", "flat_length", "weight_expansion", "weight_inner"]
+__all__ = ["WeightExpansion", "weight_expansion"]
 
 
 @dataclass(frozen=True)
 class WeightExpansion:
-    """Run-length view of a weight expansion: ((weight, multiplicity), ...)."""
+    """q*w(a) as runs ((q*weight, multiplicity), ...), for a = source = p/q."""
 
     source: Fraction
-    entries: tuple[tuple[Fraction, int], ...]
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(mult for _, mult in self.entries)
+    entries: tuple[tuple[int, int], ...]
 
     @property
     def flat_length(self) -> int:
         return sum(mult for _, mult in self.entries)
 
-    def flatten(self) -> list[Fraction]:
-        return list(chain.from_iterable(repeat(w, mult) for w, mult in self.entries))
-
-    def weight_sum(self) -> Fraction:
-        return sum((w * mult for w, mult in self.entries), Fraction(0))
-
-    def square_sum(self) -> Fraction:
-        return sum((w * w * mult for w, mult in self.entries), Fraction(0))
-
-    def __iter__(self):
-        return iter(self.entries)
+    def pair(self, m: Sequence[int]) -> int:
+        """q*<m, w(a)>; the shorter side is padded with zeros."""
+        total, start = 0, 0
+        for x, mult in self.entries:
+            total += x * sum(m[start:start + mult])
+            start += mult
+        return total
 
 
 def weight_expansion(a) -> WeightExpansion:
-    """Weight expansion of a rational a >= 1.
+    """Weight expansion of a rational a >= 1, by Euclid on (p, q).
 
-    Runs the Euclidean recurrence on the pair (a, 1); an integer a therefore
-    expands to (1^a) with no tail.
+    An integer a expands to (1^a) with no tail.
     """
     a = Fraction(a)
-    if a < 1:
+    p, q = a.numerator, a.denominator
+    if p < q:
         raise ValueError(f"weight expansion needs a >= 1, got {a}")
     entries = []
-    prev, cur = a, Fraction(1)
-    while cur > 0:
-        mult = prev // cur
-        entries.append((cur, int(mult)))
-        prev, cur = cur, prev - mult * cur
+    while q:
+        entries.append((q, p // q))
+        p, q = q, p % q
     return WeightExpansion(a, tuple(entries))
-
-
-def flat_length(a) -> int:
-    """l(a): total number of weights, counted with multiplicity."""
-    return weight_expansion(a).flat_length
-
-
-def weight_inner(m, w: WeightExpansion) -> Fraction:
-    """Exact inner product of an integer vector with a weight expansion.
-
-    The shorter side is padded with zeros, so vectors of any length pair
-    with any expansion.
-    """
-    return sum((Fraction(mi) * wi for mi, wi in zip(m, w.flatten())), Fraction(0))

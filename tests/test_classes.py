@@ -20,7 +20,7 @@ from sympstairs.classes import (
 from sympstairs.cremona import is_terminal_exceptional
 from sympstairs.curve import volume_bound
 from sympstairs.numbers import sign, sqrt_rational
-from sympstairs.weights import weight_expansion, weight_inner
+from sympstairs.weights import weight_expansion
 
 
 def brute_force_solutions(d, e, max_len):
@@ -171,7 +171,7 @@ def test_real_b_obstruction_list():
 def error_vector(c, b, a):
     """(<eps, w(a)>, <eps, eps>) for eps = m - t*w(a), t = (d+be)/sqrt(2ba), in Q(sqrt(2ba))."""
     b, a = Fraction(b), Fraction(a)
-    pairing = weight_inner(c.m, weight_expansion(a))
+    pairing = Fraction(weight_expansion(a).pair(c.m), a.denominator)
     t = (c.d + b * c.e) / sqrt_rational(2 * b * a)
     return pairing - t * a, sum(x * x for x in c.m) - 2 * t * pairing + t * t * a
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from sympstairs.cli import main
+from sympstairs.cli import build_parser, main
 from sympstairs.render import PlotSpec, emit_svg, emit_table_csv
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -111,6 +111,22 @@ def test_ech_term_count_must_be_positive(argv, capsys):
         (["classes", "--max-n", "501"], "not a nonnegative integer up to 500"),
         (["classes", "--max-b", "501"], "not a nonnegative integer up to 500"),
         (["verify", "classes", "--max-n", "501"], "not a nonnegative integer up to 500"),
+        (["eval", "--b", "2", "--a", "8", "--method", "ech", "--n", "1000000001"], "not a positive integer"),
+        (["verify", "ech", "--n", "1000000001"], "not a positive integer"),
+        (["scan", "--b", "2", "--a", "4:6", "--ech-n", "1000000001"], "not a positive integer"),
+        (["table", "--b", "2", "--a", "1:10", "--n", "10001"], "not a sample count"),
+        (["plot", "--b", "2", "--a", "1:10", "--n", "10001", "--out", "-"], "not a sample count"),
+        (["scan", "--b", "2", "--a", "4:6", "--n", "10001"], "not a sample count"),
+        (["scan", "--b", "x", "--a", "4:6"], "not a comma list of rationals b >= 2"),
+        (["scan", "--b", "0", "--a", "4:6"], "not a comma list of rationals b >= 2"),
+        (["scan", "--b", "1/2", "--a", "4:6"], "not a comma list of rationals b >= 2"),
+        (["scan", "--b", "2,3/2", "--a", "4:6"], "not a comma list of rationals b >= 2"),
+        (["table", "--b", "2", "--a", "8:4"], "not a range lo:hi"),
+        (["table", "--b", "2", "--a", "0:4"], "not a range lo:hi"),
+        (["plot", "--b", "2", "--a", "8:4", "--out", "-"], "not a range lo:hi"),
+        (["plot", "--b", "2", "--a", "0:4", "--out", "-"], "not a range lo:hi"),
+        (["scan", "--b", "2", "--a", "8:4"], "not a range lo:hi"),
+        (["scan", "--b", "2", "--a", "0:4"], "not a range lo:hi"),
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, message, capsys):
@@ -118,6 +134,17 @@ def test_out_of_range_arguments_are_usage_errors(argv, message, capsys):
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_argument_limits_are_inclusive():
+    # parsed only, so the largest accepted sizes start no run
+    parse = build_parser().parse_args
+    assert parse(["eval", "--b", "2", "--a", "8", "--n", "1000000000"]).n == 10**9
+    assert parse(["verify", "ech", "--n", "1000000000"]).n == 10**9
+    scan = parse(["scan", "--b", "2,5/2", "--a", "1:2", "--n", "10000", "--ech-n", "1000000000"])
+    assert (scan.b, scan.a, scan.n, scan.ech_n) == ([2, Fraction(5, 2)], (1, 2), 10**4, 10**9)
+    assert parse(["table", "--b", "2", "--a", "1:10", "--n", "10000"]).n == 10**4
+    assert parse(["plot", "--b", "2", "--a", "1:10", "--n", "10000", "--out", "-"]).n == 10**4
 
 
 def test_reduce_max_steps_caps_the_moves(capsys):

@@ -212,7 +212,7 @@ def test_method2_volume_short_circuit():
 def test_method2_c2_of_7():
     # closed form c_2(7) = 7/5; bisection-style probes on either side
     lam = Fraction(7, 5)
-    w = weight_expansion(7).flatten()
+    w = [1] * 7  # w(7)
 
     def decide(lam_value):
         return method2_decide(3 * lam_value, [2 * lam_value, lam_value, *w])
@@ -222,7 +222,7 @@ def test_method2_c2_of_7():
 
 
 def test_method2_monotone_in_lambda():
-    w = weight_expansion(Fraction(13, 2)).flatten()
+    w = [1] * 6 + [Fraction(1, 2)] * 2  # w(13/2)
     grid = [Fraction(1) + Fraction(i, 40) for i in range(40)]
     results = [method2_decide(3 * lam, [2 * lam, lam, *w]) for lam in grid]
     # once embeddable, embeddable forever
@@ -360,9 +360,10 @@ def test_kernel_move_cap_matches_flat(vector, max_steps):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(2, 6), st.fractions(1, 30, max_denominator=40), st.fractions(1, 4, max_denominator=50))
 def test_kernel_counts_the_flat_moves_on_weight_runs(b, a, lam):
-    w = weight_expansion(a)
-    flat = [b * lam, lam, *w.flatten()]
-    embeds, moves = _method2_runs((b + 1) * lam, [(b * lam, 1), (lam, 1), *w.entries])
+    lam = lam * a.denominator  # the Method-2 vector scaled by q, so w enters as q*w(a)
+    runs = [(b * lam, 1), (lam, 1), *weight_expansion(a).entries]
+    flat = [v for v, mult in runs for _ in range(mult)]
+    embeds, moves = _method2_runs((b + 1) * lam, runs)
     assert embeds is flat_decide((b + 1) * lam, flat)
     if moves:
         assert moves == reduce_to_reduced(BlowupVector((b + 1) * lam, tuple(flat))).step_count

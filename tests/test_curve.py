@@ -4,7 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sympstairs.cremona import BlowupVector, _method2_runs, reduce_to_reduced
 from sympstairs.curve import (
     BRANCH_AFFINE,
     BRANCH_NONSQUEEZING,
@@ -20,7 +23,8 @@ from sympstairs.curve import (
     step_geometry,
     volume_bound,
 )
-from sympstairs.numbers import QuadNum, compare_values, sign, sqrt_rational
+from sympstairs.numbers import QuadNum, bounds, compare_values, sign, sqrt_rational
+from sympstairs.weights import weight_expansion
 
 
 # -- step geometry ---------------------------------------------------------------
@@ -269,6 +273,45 @@ def test_method2_foot_point():
 def test_method2_lambda_validation():
     with pytest.raises(ValueError):
         method2_cb_decide(2, 8, Fraction(0))
+
+
+def unscaled_decision(b: int, a: Fraction, lam):
+    """Oracle: (embeds, moves) of a traced reduction of ((b+1)L; bL, L, w(a)),
+    unscaled, with w(a) as Fractions from the defining recurrence."""
+    weights, prev, cur = [], a, Fraction(1)
+    while cur > 0:
+        while prev >= cur:
+            weights.append(cur)
+            prev -= cur
+        prev, cur = cur, prev
+    head, tail = (b + 1) * lam, (b * lam, lam, *weights)
+    if sign(head * head - sum(t * t for t in tail)) < 0:
+        return False, 0
+    trace = reduce_to_reduced(BlowupVector(head, tail))
+    return all(sign(x) >= 0 for x in (trace.final.head, *trace.final.tail)), trace.step_count
+
+
+@st.composite
+def decisions(draw):
+    """(b, a, lam): lam the exact volume bound, or a rational within 1% of cb_closed."""
+    b = draw(st.integers(2, 8))
+    a = draw(st.fractions(1, 2 * b + 12, max_denominator=400))
+    if draw(st.booleans()):
+        return b, a, volume_bound(b, a)
+    near = st.fractions(Fraction(99, 100), Fraction(101, 100), max_denominator=10**4)
+    near = draw(st.just(Fraction(1)) | near)
+    return b, a, bounds(cb_closed(b, a).value, 8)[1] * near
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(decisions())
+def test_decision_scaled_by_q_matches_the_unscaled_reduction(case):
+    b, a, lam = case
+    embeds, moves = unscaled_decision(b, a, lam)
+    assert method2_cb_decide(b, a, lam) is embeds
+    scaled = lam * a.denominator  # the kernel's own input: runs of q*w(a), L = q*lambda
+    runs = [(b * scaled, 1), (scaled, 1), *weight_expansion(a).entries]
+    assert _method2_runs((b + 1) * scaled, runs) == (embeds, moves)
 
 
 # -- bisection oracle ----------------------------------------------------------------

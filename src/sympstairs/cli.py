@@ -17,7 +17,7 @@ from .cremona import parse_vector, reduce_to_reduced
 from .curve import cb_bisect, cb_closed, method2_cb_decide
 from .ech import ech_lower_bound
 from .numbers import format_exact, parse_exact, to_float
-from .render import PlotSpec, emit_scan_csv, emit_svg, emit_table_csv
+from .render import OVERLAYS, emit_scan_csv, emit_svg, emit_table_csv, parse_overlay
 
 
 def _checked(parse, ok, what: str):
@@ -46,6 +46,8 @@ _ech_terms = _above(0, int, "a positive integer up to 10^9", most=10**9)
 _integer_b = _above(1, int, "an integer b >= 2")
 _sample_count = _above(1, int, "a sample count from 2 to 10000", most=10**4)
 _positive_rational = _above(0, Fraction, "a positive rational")
+_positive_exact = _above(0, parse_exact, "a positive exact number")
+_plot_b = _checked(Fraction, lambda b: b >= 1, "a rational b >= 1")
 _class_index = _above(-1, int, "a nonnegative integer up to 500", most=500)
 _rational_range = _checked(lambda text: tuple(map(Fraction, text.split(":"))),
                            lambda r: len(r) == 2 and 1 <= r[0] < r[1],
@@ -53,6 +55,18 @@ _rational_range = _checked(lambda text: tuple(map(Fraction, text.split(":"))),
 # a comma list of rationals b >= 2, the domain of db_real
 _b_list = _checked(lambda text: [Fraction(s) for s in text.split(",") if s],
                    lambda bs: bs and min(bs) >= 2, "a comma list of rationals b >= 2")
+
+
+def _overlay_names(text: str) -> tuple[str, ...]:
+    """The comma-separated overlay names, each checked by parse_overlay and kept as typed."""
+    names = tuple(s for s in text.split(",") if s)
+    for name in names:
+        parse_overlay(name)
+    return names
+
+
+_overlays = _checked(_overlay_names, lambda names: True, "a comma list of overlays")
+_vector = _checked(parse_vector, lambda v: True, "a blow-up vector (mu;a1,...,an) or (d,e;m1,...,mk)")
 
 
 def _write_out(path: str | None, text: str):
@@ -74,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["closed", "bisect", "ech", "decide"], default="closed")
     p.add_argument("--tol", type=_positive_rational, default=Fraction(1, 10**4))
     p.add_argument("--n", type=_ech_terms, default=10**4, help="ECH terms for --method ech")
-    p.add_argument("--lambda", dest="lam", default=None,
+    p.add_argument("--lambda", dest="lam", type=_positive_exact, default=None,
                    help="exact value to test with --method decide, e.g. 17/12 or sqrt(2)")
 
     p = sub.add_parser("table", help="CSV curve dump (closed form + bounds)")
@@ -84,10 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("plot", help="SVG plot of selected overlays")
-    p.add_argument("--b", type=_rational, required=True)
+    p.add_argument("--b", type=_plot_b, required=True)
     p.add_argument("--a", type=_rational_range, required=True, metavar="LO:HI")
     p.add_argument("--n", type=_sample_count, default=181)
-    p.add_argument("--overlays", default="closed-form,volume")
+    p.add_argument("--overlays", type=_overlays, default="closed-form,volume",
+                   help=f"comma list from {', '.join(OVERLAYS)}; ech:N or ech(N) draws N ECH terms, "
+                        "1 <= N <= 10^9 (default 1000)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -114,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-b", type=_class_index, default=5)
 
     p = sub.add_parser("reduce", help="reduce a vector and print the trace")
-    p.add_argument("vector", help='e.g. "(2;1,1,1,1,1)" or "(6,3;3,2,2,2,2,2,2,2)"')
+    p.add_argument("vector", type=_vector, help='e.g. "(2;1,1,1,1,1)" or "(6,3;3,2,2,2,2,2,2,2)"')
     p.add_argument("--max-steps", type=_positive_int, default=None)
     return top
 
@@ -130,8 +146,7 @@ def cmd_eval(args) -> int:
     elif args.method == "decide":
         if args.lam is None:
             raise ValueError("--method decide needs --lambda")
-        lam = parse_exact(args.lam)
-        embeds = method2_cb_decide(args.b, args.a, lam)
+        embeds = method2_cb_decide(args.b, args.a, args.lam)
         print("Embeds" if embeds else "DoesNotEmbed")
     else:
         value = ech_lower_bound(args.b, args.a, args.n)
@@ -147,9 +162,7 @@ def cmd_table(args) -> int:
 
 def cmd_plot(args) -> int:
     lo, hi = args.a
-    overlays = tuple(s for s in args.overlays.split(",") if s)
-    spec = PlotSpec(args.b, lo, hi, args.n, overlays)
-    _write_out(args.out, emit_svg(spec))
+    _write_out(args.out, emit_svg(args.b, lo, hi, args.n, args.overlays))
     return 0
 
 
@@ -170,7 +183,7 @@ def cmd_classes(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    trace = reduce_to_reduced(parse_vector(args.vector), args.max_steps)
+    trace = reduce_to_reduced(args.vector, args.max_steps)
     for line in trace.to_lines():
         print(line)
     print(f"steps {trace.step_count}")
@@ -217,8 +230,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # inside the try: a well-formed vector whose entries mix two radicands
+        # fails while it is parsed, and that is a runtime error, not a usage one
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

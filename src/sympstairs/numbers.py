@@ -206,20 +206,13 @@ class QuadNum:
         return out
 
     def __abs__(self):
-        return -self if self.sign() < 0 else self
+        return -self if sign(self) < 0 else self
 
-    # -- exact sign and order ----------------------------------------------
-
-    def sign(self) -> int:
-        """Exact sign of p + q*sqrt(d), by case analysis on p, q."""
-        return surd_sign(self.p, self.q, self.d)
+    # -- exact order -------------------------------------------------------
 
     def _cmp(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
-            return (self - other).sign()
-        if isinstance(other, QuadNum):
-            diff = self - other
-            return sign(diff)
+        if isinstance(other, (int, Fraction, QuadNum)):
+            return sign(self - other)
         raise TypeError(f"cannot compare QuadNum with {type(other).__name__}")
 
     def __lt__(self, other):
@@ -244,23 +237,10 @@ class QuadNum:
     def __hash__(self):
         return hash((self.p, self.q, self.d))
 
-    def __bool__(self):
-        return True
-
     # -- presentation --------------------------------------------------------
 
-    def bounds(self, digits: int = 30) -> tuple[Fraction, Fraction]:
-        """Rational enclosure lo <= value <= hi of width |q|*10**-digits."""
-        scale = 10**digits
-        root = math.isqrt(self.d * scale * scale)
-        lo_root = Fraction(root, scale)
-        hi_root = Fraction(root + 1, scale)
-        if self.q > 0:
-            return self.p + self.q * lo_root, self.p + self.q * hi_root
-        return self.p + self.q * hi_root, self.p + self.q * lo_root
-
     def __float__(self):
-        lo, hi = self.bounds(25)
+        lo, hi = bounds(self, 25)
         return float((lo + hi) / 2)
 
     def __repr__(self):
@@ -292,14 +272,20 @@ def surd_sign(p, q, d: int) -> int:
 def sign(x) -> int:
     """Exact sign (-1, 0, +1) of an int, Fraction or QuadNum."""
     if isinstance(x, QuadNum):
-        return x.sign()
+        return surd_sign(x.p, x.q, x.d)
     return (x > 0) - (x < 0)
 
 
 def bounds(x, digits: int = 30) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of an exact value (degenerate for rationals)."""
+    """Rational enclosure lo <= x <= hi: of width |q|*10**-digits for
+    p + q*sqrt(d), degenerate for rationals."""
     if isinstance(x, QuadNum):
-        return x.bounds(digits)
+        scale = 10**digits
+        root = math.isqrt(x.d * scale * scale)
+        lo_root, hi_root = Fraction(root, scale), Fraction(root + 1, scale)
+        if x.q > 0:
+            return x.p + x.q * lo_root, x.p + x.q * hi_root
+        return x.p + x.q * hi_root, x.p + x.q * lo_root
     x = Fraction(x)
     return x, x
 
@@ -321,8 +307,8 @@ def compare_values(x, y) -> int:
     if isinstance(x, QuadNum) and isinstance(y, QuadNum) and x.d != y.d:
         digits = 30
         while digits <= 4000:
-            xlo, xhi = x.bounds(digits)
-            ylo, yhi = y.bounds(digits)
+            xlo, xhi = bounds(x, digits)
+            ylo, yhi = bounds(y, digits)
             if xhi < ylo:
                 return -1
             if yhi < xlo:

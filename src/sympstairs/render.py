@@ -9,51 +9,61 @@ circle markers at the breakpoints) to avoid any plotting dependency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
 from fractions import Fraction
-from typing import Callable
 
 from .curve import cb_closed, db_real, folding_bound, rescaled_chat, step_geometry, volume_bound
 from .ech import ech_lower_bound
 from .numbers import format_exact, sign, to_float
 
-__all__ = ["PlotSpec", "emit_scan_csv", "emit_svg", "emit_table_csv", "sample_grid"]
+__all__ = ["OVERLAYS", "emit_scan_csv", "emit_svg", "emit_table_csv", "parse_overlay", "sample_grid"]
 
 TABLE_HEADER = "a_num,a_den,branch,value_exact,value_float,volume_float,folding_float"
 SCAN_HEADER = "b,a_num,a_den,db_real,db_real_float,ech_lower,ech_lower_float,consistent"
 SVG_WIDTH, SVG_HEIGHT = 800, 500
 
-_OVERLAY_COLORS = {
-    "closed-form": "#1f77b4",
-    "volume": "#2ca02c",
-    "folding": "#d62728",
-    "db_real": "#9467bd",
-    "rescaled": "#8c564b",
-    "ech": "#ff7f0e",
+# overlay name -> (stroke colour, value at (b, a, ECH term count), needs an integer b >= 2)
+OVERLAYS = {
+    "closed-form": ("#1f77b4", lambda b, a, n: cb_closed(int(b), a).value, True),
+    "volume": ("#2ca02c", lambda b, a, n: volume_bound(b, a), False),
+    "folding": ("#d62728", lambda b, a, n: folding_bound(b, a), False),
+    "db_real": ("#9467bd", lambda b, a, n: db_real(b, a), False),
+    "rescaled": ("#8c564b", lambda b, a, n: rescaled_chat(int(b), a), True),
+    "ech": ("#ff7f0e", lambda b, a, n: ech_lower_bound(b, a, n), False),
 }
+_OVERLAY_RE = re.compile(r"([a-z_-]+)(?::([0-9]+)|\(([0-9]+)\))?")
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    b: Fraction
-    a_lo: Fraction
-    a_hi: Fraction
-    samples: int
-    overlays: tuple[str, ...] = field(default_factory=tuple)
+def parse_overlay(name: str) -> tuple[str, int | None]:
+    """Split an overlay name into (base, ECH term count).
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "a_lo", Fraction(self.a_lo))
-        object.__setattr__(self, "a_hi", Fraction(self.a_hi))
-        if self.samples < 2:
-            raise ValueError("needs at least two samples")
-        if self.a_lo < 1 or self.a_hi <= self.a_lo:
-            raise ValueError("a range must satisfy 1 <= lo < hi")
+    The base is a key of OVERLAYS.  Only ``ech`` takes a term count, written
+    ``ech:N`` or ``ech(N)`` with 1 <= N <= 10^9; a bare ``ech`` uses 1000.
+    The count is None for every other overlay.
+    """
+    m = _OVERLAY_RE.fullmatch(name)
+    if m is None or m.group(1) not in OVERLAYS:
+        raise ValueError(f"unknown overlay: {name!r}")
+    base, arg = m.group(1), m.group(2) or m.group(3)
+    if base != "ech":
+        if arg is not None:
+            raise ValueError(f"overlay {base!r} takes no argument: {name!r}")
+        return base, None
+    n_terms = 1000 if arg is None else int(arg)
+    if not 1 <= n_terms <= 10**9:
+        raise ValueError(f"ECH term count not in 1..10^9: {name!r}")
+    return base, n_terms
 
 
-def sample_grid(spec: PlotSpec) -> list[Fraction]:
-    step = (spec.a_hi - spec.a_lo) / (spec.samples - 1)
-    return [spec.a_lo + i * step for i in range(spec.samples)]
+def sample_grid(a_lo, a_hi, samples: int) -> list[Fraction]:
+    """samples equally spaced exact points from a_lo to a_hi, both included."""
+    a_lo, a_hi = Fraction(a_lo), Fraction(a_hi)
+    if samples < 2:
+        raise ValueError("needs at least two samples")
+    if a_lo < 1 or a_hi <= a_lo:
+        raise ValueError("a range must satisfy 1 <= lo < hi")
+    step = (a_hi - a_lo) / (samples - 1)
+    return [a_lo + i * step for i in range(samples)]
 
 
 def _fmt(x) -> str:
@@ -62,9 +72,8 @@ def _fmt(x) -> str:
 
 def emit_table_csv(b: int, a_lo, a_hi, samples: int) -> str:
     """Curve dump: one row per sample a, schema fixed by TABLE_HEADER."""
-    spec = PlotSpec(Fraction(b), a_lo, a_hi, samples)
     lines = [TABLE_HEADER]
-    for a in sample_grid(spec):
+    for a in sample_grid(a_lo, a_hi, samples):
         s = cb_closed(b, a)
         lines.append(
             f"{a.numerator},{a.denominator},{s.branch},{format_exact(s.value)},"
@@ -76,11 +85,10 @@ def emit_table_csv(b: int, a_lo, a_hi, samples: int) -> str:
 def emit_scan_csv(b_list, a_lo, a_hi, samples: int, ech_terms: int = 2000) -> str:
     """Conjecture scan: flags grid points where the ECH lower bound would
     exceed the obstruction maximum."""
+    grid = sample_grid(a_lo, a_hi, samples)
     lines = [SCAN_HEADER]
-    for b in b_list:
-        b = Fraction(b)
-        spec = PlotSpec(b, a_lo, a_hi, samples)
-        for a in sample_grid(spec):
+    for b in map(Fraction, b_list):
+        for a in grid:
             db = db_real(b, a)
             ech = ech_lower_bound(b, a, ech_terms)
             consistent = sign(ech - db) <= 0
@@ -92,38 +100,24 @@ def emit_scan_csv(b_list, a_lo, a_hi, samples: int, ech_terms: int = 2000) -> st
     return "\n".join(lines) + "\n"
 
 
-def _overlay_evaluator(name: str, b: Fraction) -> Callable[[Fraction], object]:
-    if name.endswith(")") and "(" in name:  # accept "ech(N)" for "ech:N"
-        name = name[:-1].replace("(", ":", 1)
-    base, _, arg = name.partition(":")
-    if base == "closed-form":
-        return lambda a: cb_closed(int(b), a).value
-    if base == "volume":
-        return lambda a: volume_bound(b, a)
-    if base == "folding":
-        return lambda a: folding_bound(b, a)
-    if base == "db_real":
-        return lambda a: db_real(b, a)
-    if base == "rescaled":
-        return lambda a: rescaled_chat(int(b), a)
-    if base == "ech":
-        n = int(arg) if arg else 1000
-        return lambda a: ech_lower_bound(b, a, n)
-    raise ValueError(f"unknown overlay: {name!r}")
+def emit_svg(b, a_lo, a_hi, samples: int, overlays=()) -> str:
+    """Hand-emitted SVG: one polyline per overlay plus breakpoint markers.
 
-
-def emit_svg(spec: PlotSpec) -> str:
-    """Hand-emitted SVG: one polyline per overlay plus breakpoint markers."""
-    overlays = spec.overlays or ("volume",)
-    integer_b = spec.b.denominator == 1 and spec.b >= 2
-    for name in overlays:
-        if name.partition(":")[0] in ("closed-form", "rescaled") and not integer_b:
+    Overlays are names read by :func:`parse_overlay`, drawn in the given order
+    and labelled as given; none means ``volume``.
+    """
+    b = Fraction(b)
+    integer_b = b.denominator == 1 and b >= 2
+    plans = {}
+    for name in overlays or ("volume",):
+        base, n_terms = parse_overlay(name)
+        color, value, needs_integer_b = OVERLAYS[base]
+        if needs_integer_b and not integer_b:
             raise ValueError(f"overlay {name!r} needs an integer b >= 2")
-    grid = sample_grid(spec)
-    curves = {}
-    for name in overlays:
-        f = _overlay_evaluator(name, spec.b)
-        curves[name] = [(to_float(a), to_float(f(a))) for a in grid]
+        plans[name] = (color, value, n_terms)
+    grid = sample_grid(a_lo, a_hi, samples)
+    curves = {name: [(to_float(a), to_float(value(b, a, n_terms))) for a in grid]
+              for name, (_, value, n_terms) in plans.items()}
 
     xs = [x for pts in curves.values() for x, _ in pts]
     ys = [y for pts in curves.values() for _, y in pts]
@@ -144,18 +138,18 @@ def emit_svg(spec: PlotSpec) -> str:
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
     ]
     for name, pts in curves.items():
-        color = _OVERLAY_COLORS.get(name.partition(":")[0], "#000000")
+        color = plans[name][0]
         coords = " ".join(f"{px(x):.6f},{py(y):.6f}" for x, y in pts)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'data-overlay="{name}" points="{coords}"/>'
         )
     if integer_b:
-        b = int(spec.b)
+        b = int(b)
         g = step_geometry(b)
         marks = list(g.u) + list(g.v) + [g.alpha, g.beta]
         for point in marks:
-            if not spec.a_lo <= to_float(point) <= spec.a_hi:
+            if not grid[0] <= to_float(point) <= grid[-1]:
                 continue
             if isinstance(point, Fraction):
                 val = cb_closed(b, point).value

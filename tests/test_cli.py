@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from sympstairs.cli import build_parser, main
-from sympstairs.render import PlotSpec, emit_svg, emit_table_csv
+from sympstairs.render import emit_svg, emit_table_csv
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -127,6 +127,20 @@ def test_ech_term_count_must_be_positive(argv, capsys):
         (["plot", "--b", "2", "--a", "0:4", "--out", "-"], "not a range lo:hi"),
         (["scan", "--b", "2", "--a", "8:4"], "not a range lo:hi"),
         (["scan", "--b", "2", "--a", "0:4"], "not a range lo:hi"),
+        (["plot", "--b", "0", "--a", "1:10", "--out", "-"], "not a rational b >= 1"),
+        (["plot", "--b", "-3", "--a", "1:10", "--out", "-"], "not a rational b >= 1"),
+        (["plot", "--b", "1/2", "--a", "1:10", "--out", "-"], "not a rational b >= 1"),
+        (["plot", "--b", "2", "--a", "1:10", "--overlays", "ech:0", "--out", "-"], "not a comma list of overlays"),
+        (["plot", "--b", "2", "--a", "1:10", "--overlays", "ech:x", "--out", "-"], "not a comma list of overlays"),
+        (["plot", "--b", "2", "--a", "1:10", "--overlays", "volume,ech:1000000001", "--out", "-"],
+         "not a comma list of overlays"),
+        (["plot", "--b", "2", "--a", "1:10", "--overlays", "nope", "--out", "-"], "not a comma list of overlays"),
+        (["plot", "--b", "2", "--a", "1:10", "--overlays", "volume:3", "--out", "-"], "not a comma list of overlays"),
+        (["eval", "--b", "2", "--a", "8", "--method", "decide", "--lambda", "foo"], "not a positive exact number"),
+        (["eval", "--b", "2", "--a", "8", "--method", "decide", "--lambda", "0"], "not a positive exact number"),
+        (["eval", "--b", "2", "--a", "8", "--method", "decide", "--lambda", "sqrt(2)+sqrt(3)"],
+         "not a positive exact number"),
+        (["reduce", "(2;1,x)"], "not a blow-up vector"),
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, message, capsys):
@@ -145,6 +159,9 @@ def test_argument_limits_are_inclusive():
     assert (scan.b, scan.a, scan.n, scan.ech_n) == ([2, Fraction(5, 2)], (1, 2), 10**4, 10**9)
     assert parse(["table", "--b", "2", "--a", "1:10", "--n", "10000"]).n == 10**4
     assert parse(["plot", "--b", "2", "--a", "1:10", "--n", "10000", "--out", "-"]).n == 10**4
+    plot = parse(["plot", "--b", "1", "--a", "1:10", "--overlays", "ech:1000000000,ech(1000000000)",
+                  "--out", "-"])
+    assert (plot.b, plot.overlays) == (1, ("ech:1000000000", "ech(1000000000)"))
 
 
 def test_reduce_max_steps_caps_the_moves(capsys):
@@ -255,12 +272,17 @@ def test_unwritable_output_path_is_io_error(capsys):
 
 
 def test_ech_overlay_accepts_both_spellings(tmp_path):
+    texts = []
     for overlay in ("ech:100", "ech(100)"):
         out = tmp_path / "plot.svg"
         code = main(["plot", "--b", "2", "--a", "4:8", "--n", "9",
                      "--overlays", overlay, "--out", str(out)])
         assert code == 0
-        assert f'data-overlay="{overlay}"' in out.read_text()
+        text = out.read_text()
+        assert f'data-overlay="{overlay}"' in text
+        texts.append(text.replace(f'data-overlay="{overlay}"', ""))
+    assert texts[0] == texts[1]  # the same stroke colour and the same points
+    assert 'stroke="#ff7f0e"' in texts[0]
 
 
 def test_table_byte_stable_across_runs():
@@ -302,7 +324,7 @@ def test_svg_rejects_closed_form_for_rational_b(tmp_path):
 
 
 def test_emit_svg_default_overlay_is_volume():
-    text = emit_svg(PlotSpec(Fraction(2), Fraction(1), Fraction(9), 10))
+    text = emit_svg(2, 1, 9, 10)
     assert text.count("<polyline") == 1
     assert 'data-overlay="volume"' in text
 

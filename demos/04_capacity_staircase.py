@@ -6,14 +6,14 @@ one zero-length step at a = 9, the affine step, and the volume tail.
 
 from fractions import Fraction
 
-from sympstairs import cb_closed, folding_bound, step_geometry, to_float, volume_bound
+from sympstairs import cb_closed, folding_bound, step_geometry, volume_bound
 
 b = 2
 g = step_geometry(b)
 print(f"breakpoints for b={b}:")
 print("  u:", [str(u) for u in g.u])
 print("  v:", [str(v) for v in g.v])
-print("  alpha =", g.alpha, f"(~{to_float(g.alpha):.6f})")
+print("  alpha =", g.alpha, f"(~{float(g.alpha):.6f})")
 print("  beta  =", g.beta, " v_plus =", g.v_plus)
 print("  step lengths:", [str(l) for l in g.step_lengths])
 
@@ -23,5 +23,5 @@ for i in range(4, 41):
     s = cb_closed(b, a)
     print(
         f"{str(a):>7} {s.branch:>16} {str(s.value):>14}"
-        f" {to_float(volume_bound(b, a)):>9.5f} {to_float(folding_bound(b, a)):>9.5f}"
+        f" {float(volume_bound(b, a)):>9.5f} {float(folding_bound(b, a)):>9.5f}"
     )

@@ -7,7 +7,7 @@ value; the ECH sup approaches it from below and attains it at step edges.
 
 from fractions import Fraction
 
-from sympstairs import cb_bisect, cb_closed, ech_lower_bound, sign, to_float
+from sympstairs import cb_bisect, cb_closed, ech_lower_bound, sign
 
 for b, a in [(2, Fraction(7)), (2, Fraction(8)), (3, Fraction(10)), (2, Fraction(4))]:
     closed = cb_closed(b, a)
@@ -17,5 +17,5 @@ for b, a in [(2, Fraction(7)), (2, Fraction(8)), (3, Fraction(10)), (2, Fraction
     below = sign(ech - closed.value) <= 0
     print(f"c_{b}({a}):")
     print(f"   closed form : {closed.value}  [{closed.branch}]")
-    print(f"   bisection   : [{to_float(lo):.6f}, {to_float(hi):.6f}]  contains it: {bracketed}")
-    print(f"   ech ratio   : {ech} (~{to_float(ech):.6f})  below or equal: {below}")
+    print(f"   bisection   : [{float(lo):.6f}, {float(hi):.6f}]  contains it: {bracketed}")
+    print(f"   ech ratio   : {ech} (~{float(ech):.6f})  below or equal: {below}")

@@ -61,7 +61,6 @@ from .numbers import (
     quad_make,
     sign,
     sqrt_rational,
-    to_float,
 )
 from .weights import WeightExpansion, weight_expansion
 

@@ -16,19 +16,20 @@ from .classes import format_class, gen_E, gen_F, gen_G
 from .cremona import parse_vector, reduce_to_reduced
 from .curve import cb_bisect, cb_closed, method2_cb_decide
 from .ech import ech_lower_bound
-from .numbers import format_exact, parse_exact, to_float
+from .numbers import format_exact, parse_exact
 from .render import OVERLAYS, emit_scan_csv, emit_svg, emit_table_csv, parse_overlay
 
 
 def _checked(parse, ok, what: str):
-    """An argparse type: parse the text, and reject it unless ok(value)."""
+    """An argparse type: parse the text, and reject it unless ok(value); a
+    parse error keeps the parser's own message as the reason."""
 
     def check(text: str):
         try:
             value = parse(text)
-        except (ValueError, ZeroDivisionError):
-            value = None
-        if value is None or not ok(value):
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r} ({exc})")
+        if not ok(value):
             raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
         return value
 
@@ -83,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate the capacity at one point")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--b", type=_integer_b, required=True)
     p.add_argument("--a", type=_rational, required=True)
     p.add_argument("--method", choices=["closed", "bisect", "ech", "decide"], default="closed")
@@ -92,21 +94,25 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact value to test with --method decide, e.g. 17/12 or sqrt(2)")
 
     p = sub.add_parser("table", help="CSV curve dump (closed form + bounds)")
+    p.set_defaults(run=cmd_table)
     p.add_argument("--b", type=_integer_b, required=True)
     p.add_argument("--a", type=_rational_range, required=True, metavar="LO:HI")
     p.add_argument("--n", type=_sample_count, default=181, help="number of samples")
     p.add_argument("--out")
 
     p = sub.add_parser("plot", help="SVG plot of selected overlays")
+    p.set_defaults(run=cmd_plot)
     p.add_argument("--b", type=_plot_b, required=True)
     p.add_argument("--a", type=_rational_range, required=True, metavar="LO:HI")
     p.add_argument("--n", type=_sample_count, default=181)
-    p.add_argument("--overlays", type=_overlays, default="closed-form,volume",
+    p.add_argument("--overlays", type=_overlays, default=(),
                    help=f"comma list from {', '.join(OVERLAYS)}; ech:N or ech(N) draws N ECH terms, "
-                        "1 <= N <= 10^9 (default 1000)")
+                        "1 <= N <= 10^9 (default 1000); none draws closed-form,volume at integer "
+                        "b >= 2 and volume otherwise")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
+    p.set_defaults(run=cmd_verify)
     p.add_argument(
         "suite",
         choices=list(_SUITES),
@@ -118,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true")
 
     p = sub.add_parser("scan", help="conjecture scan over rational b")
+    p.set_defaults(run=cmd_scan)
     p.add_argument("--b", type=_b_list, required=True,
                    help="comma-separated rationals >= 2, e.g. 2,5/2,3")
     p.add_argument("--a", type=_rational_range, required=True, metavar="LO:HI")
@@ -126,10 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("classes", help="list the certified class families")
+    p.set_defaults(run=cmd_classes)
     p.add_argument("--max-n", type=_class_index, default=10)
     p.add_argument("--max-b", type=_class_index, default=5)
 
     p = sub.add_parser("reduce", help="reduce a vector and print the trace")
+    p.set_defaults(run=cmd_reduce)
     p.add_argument("vector", type=_vector, help='e.g. "(2;1,1,1,1,1)" or "(6,3;3,2,2,2,2,2,2,2)"')
     p.add_argument("--max-steps", type=_positive_int, default=None)
     return top
@@ -138,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_eval(args) -> int:
     if args.method == "closed":
         value = cb_closed(args.b, args.a).value
-        print(f"{format_exact(value)}\t{to_float(value):.15g}")
+        print(f"{format_exact(value)}\t{float(value):.15g}")
     elif args.method == "bisect":
         lo, hi = cb_bisect(args.b, args.a, args.tol)
         mid = (lo + hi) / 2
-        print(f"[{format_exact(lo)},{format_exact(hi)}]\t{to_float(mid):.15g}")
+        print(f"[{format_exact(lo)},{format_exact(hi)}]\t{float(mid):.15g}")
     elif args.method == "decide":
         if args.lam is None:
             raise ValueError("--method decide needs --lambda")
@@ -150,7 +159,7 @@ def cmd_eval(args) -> int:
         print("Embeds" if embeds else "DoesNotEmbed")
     else:
         value = ech_lower_bound(args.b, args.a, args.n)
-        print(f"{format_exact(value)}\t{to_float(value):.15g}")
+        print(f"{format_exact(value)}\t{float(value):.15g}")
     return 0
 
 
@@ -218,23 +227,12 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-_COMMANDS = {
-    "eval": cmd_eval,
-    "table": cmd_table,
-    "plot": cmd_plot,
-    "scan": cmd_scan,
-    "classes": cmd_classes,
-    "reduce": cmd_reduce,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     try:
         # inside the try: a well-formed vector whose entries mix two radicands
         # fails while it is parsed, and that is a runtime error, not a usage one
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

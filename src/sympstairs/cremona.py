@@ -68,10 +68,10 @@ class BlowupVector:
     head: Value
     tail: tuple[Value, ...]
 
-    def padded_tail(self, n: int = 3) -> tuple[Value, ...]:
-        if len(self.tail) >= n:
+    def padded_tail(self) -> tuple[Value, ...]:
+        if len(self.tail) >= 3:
             return self.tail
-        return self.tail + (0,) * (n - len(self.tail))
+        return self.tail + (0,) * (3 - len(self.tail))
 
     def sorted(self) -> "BlowupVector":
         # tuple(list), not tuple(generator): tuples grown from a generator are resized,
@@ -222,14 +222,12 @@ def method2_decide(mu, a_list, max_steps: Optional[int] = None) -> bool:
     return _method2_runs(mu, [(a, len(list(g))) for a, g in groupby(a_list)], max_steps)[0]
 
 
-def _method2_flat(mu, runs: Sequence[tuple], max_steps: Optional[int] = None) -> bool:
+def _method2_flat(mu, runs: Sequence[tuple]) -> bool:
     """The same decision on the same runs, by a traced reduction of the flat vector."""
-    tail = [v for v, mult in runs for _ in range(mult)]
-    if sign(mu) < 0:
-        raise ValueError("head must be nonnegative")
+    tail = tuple([v for v, mult in runs for _ in range(mult)])
     if sign(mu * mu - sum((a * a for a in tail), Fraction(0))) < 0:
         return False
-    final = reduce_to_reduced(BlowupVector(mu, tuple(tail)), max_steps).final
+    final = reduce_to_reduced(BlowupVector(mu, tail)).final
     return all(sign(x) >= 0 for x in (final.head, *final.tail))
 
 
@@ -284,8 +282,8 @@ def _method2_runs(head, runs: Sequence[tuple], max_steps: Optional[int] = None) 
     is the tail :func:`reduce_to_reduced` would start from.  The moves, their
     cap and the answer are those of the flat path, but no trace is built: a
     move takes the top three entries and merges three values back, O(runs).
-    At the cap the flat path is re-run to raise :class:`ReductionLimitError`
-    with its partial trace.
+    At the cap the flat vector is reduced under the same cap, which raises
+    :class:`ReductionLimitError` with its partial trace.
     """
     if sign(head) < 0:
         raise ValueError("head must be nonnegative")
@@ -320,7 +318,7 @@ def _method2_runs(head, runs: Sequence[tuple], max_steps: Optional[int] = None) 
             least = tail[-1][0] if tail else top[2]
             return not (h < zero or least < zero), moves
         if moves >= cap:
-            _method2_flat(head, runs, max_steps)
+            reduce_to_reduced(BlowupVector(head, tuple([v for v, m in runs for _ in range(m)])), cap)
             raise AssertionError("the run-length and flat reductions disagree")
         moves += 1
         h = h + delta

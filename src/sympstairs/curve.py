@@ -169,8 +169,9 @@ def folding_bound(b, a) -> Fraction:
 def db_real(b, a) -> Value:
     """Maximum of the volume constraint and the known obstructions, real b >= 2.
 
-    Conjecturally equal to the capacity for all real b; provably equal for
-    integer b, where it reproduces the closed form.
+    A lower bound for the capacity, equal to it at integer b, where it
+    reproduces the closed form.  Not the capacity at every rational b: at
+    b = 5/2, a = 25/3 the polydisc ECH ratio 22/17 exceeds it.
     """
     best: Value = volume_bound(b, a)
     for _, val in real_b_obstructions(b, a):

@@ -13,6 +13,7 @@ All values are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -32,7 +33,6 @@ __all__ = [
     "sign",
     "sqrt_rational",
     "surd_sign",
-    "to_float",
 ]
 
 
@@ -94,6 +94,7 @@ def sqrt_rational(x) -> Value:
     return quad_make(0, 1, x)
 
 
+@functools.total_ordering
 class QuadNum:
     """An exact element p + q*sqrt(d) of Q(sqrt(d)), d squarefree, q != 0.
 
@@ -128,9 +129,6 @@ class QuadNum:
             raise IncompatibleFieldError(
                 f"sqrt({self.d}) and sqrt({other.d}) lie in distinct fields"
             )
-
-    def conjugate(self) -> "QuadNum":
-        return QuadNum(self.p, -self.q, self.d)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -182,7 +180,7 @@ class QuadNum:
             norm = other.p * other.p - other.q * other.q * other.d
             if norm == 0:
                 raise ZeroDivisionError("division by zero")
-            return (self * other.conjugate()) / norm
+            return (self * QuadNum(other.p, -other.q, other.d)) / norm
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -190,7 +188,7 @@ class QuadNum:
             norm = self.p * self.p - self.q * self.q * self.d
             if norm == 0:
                 raise ZeroDivisionError("division by zero")
-            return self.conjugate() * (Fraction(other) / norm)
+            return QuadNum(self.p, -self.q, self.d) * (Fraction(other) / norm)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -218,14 +216,8 @@ class QuadNum:
     def __lt__(self, other):
         return self._cmp(other) < 0
 
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
     def __gt__(self, other):
         return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -288,13 +280,6 @@ def bounds(x, digits: int = 30) -> tuple[Fraction, Fraction]:
         return x.p + x.q * hi_root, x.p + x.q * lo_root
     x = Fraction(x)
     return x, x
-
-
-def to_float(x) -> float:
-    """Presentation float, derived from the exact value at the last step."""
-    if isinstance(x, QuadNum):
-        return float(x)
-    return float(Fraction(x))
 
 
 def compare_values(x, y) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .curve import cb_closed, db_real, folding_bound, rescaled_chat, step_geometry, volume_bound
 from .ech import ech_lower_bound
-from .numbers import format_exact, sign, to_float
+from .numbers import format_exact, sign
 
 __all__ = ["OVERLAYS", "emit_scan_csv", "emit_svg", "emit_table_csv", "parse_overlay", "sample_grid"]
 
@@ -67,7 +67,7 @@ def sample_grid(a_lo, a_hi, samples: int) -> list[Fraction]:
 
 
 def _fmt(x) -> str:
-    return f"{to_float(x):.15g}"
+    return f"{float(x):.15g}"
 
 
 def emit_table_csv(b: int, a_lo, a_hi, samples: int) -> str:
@@ -104,19 +104,20 @@ def emit_svg(b, a_lo, a_hi, samples: int, overlays=()) -> str:
     """Hand-emitted SVG: one polyline per overlay plus breakpoint markers.
 
     Overlays are names read by :func:`parse_overlay`, drawn in the given order
-    and labelled as given; none means ``volume``.
+    and labelled as given; none means ``closed-form,volume`` at integer b >= 2
+    and ``volume`` otherwise.
     """
     b = Fraction(b)
     integer_b = b.denominator == 1 and b >= 2
     plans = {}
-    for name in overlays or ("volume",):
+    for name in overlays or (("closed-form", "volume") if integer_b else ("volume",)):
         base, n_terms = parse_overlay(name)
         color, value, needs_integer_b = OVERLAYS[base]
         if needs_integer_b and not integer_b:
             raise ValueError(f"overlay {name!r} needs an integer b >= 2")
         plans[name] = (color, value, n_terms)
     grid = sample_grid(a_lo, a_hi, samples)
-    curves = {name: [(to_float(a), to_float(value(b, a, n_terms))) for a in grid]
+    curves = {name: [(float(a), float(value(b, a, n_terms))) for a in grid]
               for name, (_, value, n_terms) in plans.items()}
 
     xs = [x for pts in curves.values() for x, _ in pts]
@@ -149,14 +150,14 @@ def emit_svg(b, a_lo, a_hi, samples: int, overlays=()) -> str:
         g = step_geometry(b)
         marks = list(g.u) + list(g.v) + [g.alpha, g.beta]
         for point in marks:
-            if not grid[0] <= to_float(point) <= grid[-1]:
+            if not grid[0] <= float(point) <= grid[-1]:
                 continue
             if isinstance(point, Fraction):
                 val = cb_closed(b, point).value
             else:  # irrational breakpoint (alpha_b): the affine line meets the volume there
                 val = (b * point + 1) / Fraction(2 * b * (b + 1))
             parts.append(
-                f'<circle cx="{px(to_float(point)):.6f}" cy="{py(to_float(val)):.6f}" '
+                f'<circle cx="{px(float(point)):.6f}" cy="{py(float(val)):.6f}" '
                 f'r="3" fill="#333333"/>'
             )
     parts.append("</svg>")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from sympstairs.classes import certification_trace, gen_E, gen_F
 from sympstairs.cli import build_parser, main
 from sympstairs.render import emit_svg, emit_table_csv
 
@@ -141,6 +142,13 @@ def test_ech_term_count_must_be_positive(argv, capsys):
         (["eval", "--b", "2", "--a", "8", "--method", "decide", "--lambda", "sqrt(2)+sqrt(3)"],
          "not a positive exact number"),
         (["reduce", "(2;1,x)"], "not a blow-up vector"),
+        # a parse failure names its reason
+        (["plot", "--b", "2", "--a", "1:10", "--overlays", "volume,ech:1000000001", "--out", "-"],
+         "not a comma list of overlays: 'volume,ech:1000000001' "
+         "(ECH term count not in 1..10^9: 'ech:1000000001')"),
+        (["reduce", "(2;1,x)"], "(2;1,x)' (not an exact number: 'x')"),
+        (["eval", "--b", "2", "--a", "8", "--method", "decide", "--lambda", "foo"],
+         "not a positive exact number: 'foo' (not an exact number: 'foo')"),
     ],
 )
 def test_out_of_range_arguments_are_usage_errors(argv, message, capsys):
@@ -323,10 +331,21 @@ def test_svg_rejects_closed_form_for_rational_b(tmp_path):
     assert code == 1
 
 
-def test_emit_svg_default_overlay_is_volume():
+def test_emit_svg_default_overlays_follow_b():
     text = emit_svg(2, 1, 9, 10)
+    assert text.count("<polyline") == 2
+    assert 'data-overlay="closed-form"' in text and 'data-overlay="volume"' in text
+    text = emit_svg(Fraction(5, 2), 1, 9, 10)
     assert text.count("<polyline") == 1
     assert 'data-overlay="volume"' in text
+
+
+def test_plot_default_overlays(tmp_path):
+    out = tmp_path / "plot.svg"
+    assert main(["plot", "--b", "5/2", "--a", "4:8", "--out", str(out)]) == 0
+    assert out.read_text() == emit_svg(Fraction(5, 2), 4, 8, 181, ["volume"])
+    assert main(["plot", "--b", "5", "--a", "9:20", "--out", str(out)]) == 0
+    assert out.read_text() == emit_svg(5, 9, 20, 181, ["closed-form", "volume"])
 
 
 def test_verify_suites_pass(capsys):
@@ -352,3 +371,27 @@ def test_verify_report_shape(capsys):
     for line in out.splitlines():
         assert "expected=" in line and "got=" in line
         assert line.endswith("PASS")
+
+
+def test_verify_trace_prints_each_certification(capsys):
+    code, out, _ = run(capsys, "verify", "classes", "--max-n", "2", "--trace")
+    assert code == 0
+    traced = {}  # record line -> the indented lines printed under it
+    for line in out.splitlines():
+        if line.startswith("    "):
+            traced[record].append(line[4:])
+        else:
+            record = line
+            traced[record] = []
+    families = {"E": gen_E, "F": gen_F}
+    for record, lines in traced.items():
+        name = record.split()[1]  # "certify E2 (moves) ..." -> "E2"
+        if "(moves)" in record:
+            assert lines == certification_trace(families[name[0]](int(name[1:]))).to_lines()
+        else:
+            assert lines == [], record  # G_b records carry no trace
+    assert sum(1 for lines in traced.values() if lines) == 5  # E0..E2, F1, F2
+    for suite in ("weights", "edges", "method2", "equivalence", "ech", "geometry", "alarge"):
+        code, out, _ = run(capsys, "verify", suite, "--trace")
+        assert code == 0
+        assert not [line for line in out.splitlines() if line.startswith(" ")], suite

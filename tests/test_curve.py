@@ -214,6 +214,24 @@ def test_db_real_examples():
     assert db_real(Fraction(5, 2), 7) == Fraction(14, 11)  # E_3 step
 
 
+def test_db_real_is_below_the_polydisc_ech_bound_at_rational_b():
+    # ECH capacities are monotone, so E(1,a) -> P(L, L*b) needs L >= c_k(E(1,a)) / c_k(P(1,b))
+    # for every k, with c_k(P(1,b)) = min{m + b*n : (m+1)(n+1) >= k+1} (Hutchings 2011).
+    # At b = 5/2, a = 25/3 that ratio beats db_real, so db_real is not the capacity there.
+    b, a, k_max, top = Fraction(5, 2), Fraction(25, 3), 600, 200
+    ellipsoid = sorted(m + a * n for n in range(math.floor(top / a) + 1)
+                       for m in range(math.floor(top - a * n) + 1))
+    assert len(ellipsoid) > k_max and ellipsoid[k_max] <= top  # every m + a*n <= top is listed
+
+    def polydisc(k):
+        return min(-(-(k + 1) // (n + 1)) - 1 + b * n for n in range(k + 1))
+
+    ratio = max(ellipsoid[k] / polydisc(k) for k in range(1, k_max + 1))
+    assert ratio == Fraction(22, 17)
+    assert db_real(b, a) == sqrt_rational(Fraction(15, 9))  # sqrt(15)/3, about 1.29099
+    assert sign(ratio - db_real(b, a)) > 0
+
+
 # -- rescaled limit -----------------------------------------------------------------
 
 
